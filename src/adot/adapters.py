@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
 from .cache import normalize_query
-from .plan_ir import Plan, Tool, parse_plan
+from .plan_ir import VAR_REF_PATTERN, Plan, Tool, parse_plan
 from .stores.relational import (
     Aggregate,
     Filter,
@@ -61,18 +61,26 @@ class AdapterError:
 class ResolvedSubQuery:
     """A node ready to run: variables substituted, bindings attached.
 
-    ``bindings_in`` maps each referenced label to its slimmed view
-    (column -> distinct values).
+    ``question_resolved`` is the display text, with small value lists
+    inlined. ``question`` keeps every ``$var_d.col`` reference symbolic
+    (bare ``$var_d`` references are substituted); the structured
+    translator reads it and takes each reference's values, typed, from
+    ``bindings_in``, which maps each referenced label to its slimmed view
+    (column -> distinct values). ``question`` defaults to
+    ``question_resolved``.
     """
 
     node_index: int
     question_resolved: str
     tool: Tool
     bindings_in: Mapping[str, Mapping[str, Sequence[Any]]] = None  # type: ignore[assignment]
+    question: str = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.bindings_in is None:
             object.__setattr__(self, "bindings_in", {})
+        if self.question is None:
+            object.__setattr__(self, "question", self.question_resolved)
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,17 @@ def _parse_value_list(tail: str) -> list:
     return [_parse_scalar(part) for part in tail.split(",") if part.strip()]
 
 
+def _reference_values(rq: ResolvedSubQuery, text: str) -> list | None:
+    """Typed values of ``text`` when it is one ``$var_d.col`` reference."""
+    m = VAR_REF_PATTERN.fullmatch(text.strip())
+    if m is None or m.group(2) is None:
+        return None
+    try:
+        return list(rq.bindings_in[f"$var_{m.group(1)}"][m.group(2)])
+    except KeyError:
+        raise TranslationFailedError(f"no bound values for {m.group(0)}") from None
+
+
 _TEMPLATE_SELECT_IN = re.compile(
     r"^\s*what\s+(?:is|are)\s+the\s+([A-Za-z_]\w*)\s+of\s+.*?\bwith\s+(?:the\s+)?([A-Za-z_]\w*)\s+in\s+(.+?)\s*\??\s*$",
     re.IGNORECASE,
@@ -149,22 +168,27 @@ class PatternTranslator:
       * "what is the <col> ... with <key> in <values>"  -> filtered select
       * "average|sum|count|min|max of <col> [where <col> = <value>]"
       * a backtick-quoted literal mini-language query (escape hatch)
+
+    It reads ``rq.question``. A ``$var_d.col`` reference in place of
+    ``<values>``, ``<value>`` or a mini-language value list stands for the
+    typed values bound to it in ``rq.bindings_in``; ``where <col> =
+    <reference>`` keeps rows whose cell is any of them.
     """
 
     def translate(self, rq: ResolvedSubQuery, schema: GlobalSchema) -> StructuredQuery:
-        question = rq.question_resolved
+        question = rq.question
 
         m = _BACKTICK.search(question)
         if m:
             try:
-                return parse_mini_query(m.group(1))
+                return parse_mini_query(m.group(1), rq.bindings_in)
             except MiniQuerySyntaxError as exc:
                 raise TranslationFailedError(f"backtick query: {exc}") from exc
 
         m = _TEMPLATE_SELECT_IN.match(question)
         if m:
             select_col, key_col, tail = m.group(1), m.group(2), m.group(3)
-            values = _bound_values(rq, key_col)
+            values = _reference_values(rq, tail)
             if values is None:
                 values = _parse_value_list(tail)
             table = self._find_table(schema, (select_col, key_col))
@@ -182,7 +206,12 @@ class PatternTranslator:
             filters: tuple[Filter, ...] = ()
             if m.group(3):
                 needed.append(m.group(3))
-                filters = (Filter(column=m.group(3), op="=", value=_parse_scalar(m.group(4))),)
+                values = _reference_values(rq, m.group(4))
+                filters = (
+                    Filter(column=m.group(3), op="=", value=_parse_scalar(m.group(4)))
+                    if values is None
+                    else Filter(column=m.group(3), op="in", value=values),
+                )
             table = self._find_table(schema, tuple(needed))
             return StructuredQuery(
                 table=table, select=(), filters=filters, aggregate=Aggregate(func=func, column=col)

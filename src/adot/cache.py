@@ -12,6 +12,7 @@ deterministic under test.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from dataclasses import dataclass, replace
@@ -33,6 +34,10 @@ _SLOT_VALUE_RES = {
     "quoted_string": re.compile(r"""^('[^']*'|"[^"]*")$"""),
     "identifier": re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$"),
 }
+
+
+class CacheFileError(ValueError):
+    """A cache file that cannot be read as a plan cache (truncated, not JSON, wrong shape)."""
 
 
 def normalize_query(q: str) -> str:
@@ -286,11 +291,14 @@ class PlanCache:
             self._entries.clear()
 
     def entries(self) -> list[CacheEntry]:
-        return list(self._entries.values())
+        with self._lock:
+            return list(self._entries.values())
 
     # --- persistence ---------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the cache to a temporary file beside ``path``, then rename it
+        over ``path``: a crash mid-save leaves the previous file whole."""
         with self._lock:
             doc = {
                 "capacity": self.capacity,
@@ -312,11 +320,25 @@ class PlanCache:
                     for e in self._entries.values()
                 ],
             }
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        target = Path(path)
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(json.dumps(doc), encoding="utf-8")
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path, embedder: HashedBowEmbedder | None = None) -> "PlanCache":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a saved cache; raises :class:`CacheFileError` if ``path`` holds none."""
+        try:
+            return cls._from_doc(json.loads(Path(path).read_text(encoding="utf-8")), embedder)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CacheFileError(f"{path}: not a plan cache file: {exc}") from exc
+
+    @classmethod
+    def _from_doc(cls, doc: dict, embedder: HashedBowEmbedder | None) -> "PlanCache":
         cache = cls(capacity=doc["capacity"], tau=doc["tau"], embedder=embedder)
         cache._counter = doc["counter"]
         cache.stats = CacheStats(**doc["stats"])

@@ -31,7 +31,7 @@ from .adapters import (
     run_structured_adapter,
     run_vector_adapter,
 )
-from .lineage import LineageLog, LineageRecord, summarize_result, wall_ms
+from .lineage import LineageLog, LineageRecord, summarize_result
 from .plan_ir import (
     NodeStatus,
     Plan,
@@ -249,10 +249,12 @@ def resolve_question(
 ) -> ResolvedSubQuery:
     """Substitute variable references with bound values.
 
-    ``$var_d.c`` becomes an inline comma-separated value list (text values
-    quoted) when there are 1..inline_threshold distinct values; larger or
-    empty lists stay symbolic and travel via ``bindings_in`` for set-based
-    execution. A bare ``$var_d`` becomes the producing node's answer value.
+    A bare ``$var_d`` becomes the producing node's answer value. In the
+    display text ``question_resolved``, ``$var_d.c`` becomes an inline
+    comma-separated value list (text values quoted) when there are
+    1..inline_threshold distinct values; larger or empty lists stay
+    symbolic. In ``question`` every ``$var_d.c`` stays symbolic: its values
+    reach the adapter only through ``bindings_in``, typed.
     """
     question = node.question or ""
     refs = node.var_refs()
@@ -263,7 +265,7 @@ def resolve_question(
             raise UnboundVariableError(label)
         bindings_in[label] = {k: list(v) for k, v in bindings[label].slim_view.items()}
 
-    def substitute(m) -> str:
+    def substitute(m, inline: bool) -> str:
         label = f"$var_{m.group(1)}"
         column = m.group(2)
         binding = bindings[label]
@@ -272,11 +274,12 @@ def resolve_question(
         values = binding.slim_view.get(column)
         if values is None:
             raise UnboundVariableError(f"{label}.{column}")
-        if 1 <= len(values) <= inline_threshold:
+        if inline and 1 <= len(values) <= inline_threshold:
             return ", ".join(_quote(v) for v in values)
         return m.group(0)
 
-    resolved = VAR_REF_PATTERN.sub(substitute, question)
+    resolved = VAR_REF_PATTERN.sub(lambda m: substitute(m, inline=True), question)
+    symbolic = VAR_REF_PATTERN.sub(lambda m: substitute(m, inline=False), question)
     if node.tool is None:
         raise UnboundVariableError(f"node {node.index} has no tool")
     return ResolvedSubQuery(
@@ -284,6 +287,7 @@ def resolve_question(
         question_resolved=resolved,
         tool=node.tool,
         bindings_in=bindings_in,
+        question=symbolic,
     )
 
 
@@ -378,8 +382,9 @@ def execute_plan(
         if on_event is not None:
             on_event(event)
 
-    def fail_node(index: int, klass: FeedbackClass, message: str, *, infrastructure: bool = False,
-                  rq: ResolvedSubQuery | None = None, answer_value: Any = None) -> None:
+    def fail_node(index: int, klass: FeedbackClass, message: str, elapsed_ms: float, *,
+                  infrastructure: bool = False, rq: ResolvedSubQuery | None = None,
+                  answer_value: Any = None) -> None:
         failed.add(index)
         nodes[index] = replace(nodes[index], status=NodeStatus.FAILED)
         feedback.append(
@@ -404,17 +409,22 @@ def execute_plan(
                 input_labels=tuple(sorted({f"$var_{r.target_index}" for r in node.var_refs()})),
                 started=log.tick(),
                 finished=log.tick(),
-                wall_ms=wall_ms(),
+                wall_ms=elapsed_ms,
                 output_summary={"answer_value": answer_value} if answer_value is not None else {},
             )
         )
         emit(EventKind.NODE_FAILED, index, {"label": node.label, "error_class": klass.value, "message": message})
 
     def run_node(index: int):
+        """(resolved sub-question, outcome, exception raised, elapsed ms)."""
         t0 = time.perf_counter()
-        rq = resolve_question(nodes[index], bindings, cfg.inline_threshold)
-        outcome = adapters[rq.tool](rq)
-        return rq, outcome, (time.perf_counter() - t0) * 1000.0
+        rq = outcome = None
+        try:
+            rq = resolve_question(nodes[index], bindings, cfg.inline_threshold)
+            outcome = adapters[rq.tool](rq)
+        except Exception as exc:  # adapter bugs reified as feedback below
+            return rq, None, exc, (time.perf_counter() - t0) * 1000.0
+        return rq, outcome, None, (time.perf_counter() - t0) * 1000.0
 
     max_parallel = cfg.max_parallel
     if max_parallel is None:
@@ -442,24 +452,26 @@ def execute_plan(
             futures = {i: pool.submit(run_node, i) for i in runnable}
             for i in runnable:
                 node = nodes[i]
+                waiting = time.perf_counter()
                 try:
-                    rq, outcome, elapsed = futures[i].result(timeout=cfg.node_timeout)
+                    rq, outcome, exc, elapsed = futures[i].result(timeout=cfg.node_timeout)
                 except FutureTimeoutError:
                     futures[i].cancel()
-                    fail_node(i, FeedbackClass.TIMEOUT, f"node {i} exceeded {cfg.node_timeout}s")
+                    fail_node(i, FeedbackClass.TIMEOUT, f"node {i} exceeded {cfg.node_timeout}s",
+                              (time.perf_counter() - waiting) * 1000.0)
                     continue
-                except UnboundVariableError as exc:
-                    fail_node(i, FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, str(exc))
+                if isinstance(exc, UnboundVariableError):
+                    fail_node(i, FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, str(exc), elapsed)
                     continue
-                except Exception as exc:  # adapter bugs reified as feedback
-                    logger.exception("node %d adapter raised", i)
-                    fail_node(i, FeedbackClass.STORE_ERROR, f"adapter raised: {exc}")
+                if exc is not None:
+                    logger.error("node %d adapter raised", i, exc_info=exc)
+                    fail_node(i, FeedbackClass.STORE_ERROR, f"adapter raised: {exc}", elapsed, rq=rq)
                     continue
 
                 if outcome.error is not None:
                     klass = _ADAPTER_ERROR_MAP.get(outcome.error.klass, FeedbackClass.STORE_ERROR)
                     infra = outcome.error.infrastructure or outcome.error.klass == ERR_EMPTY_INDEX
-                    fail_node(i, klass, outcome.error.message, infrastructure=infra,
+                    fail_node(i, klass, outcome.error.message, elapsed, infrastructure=infra,
                               rq=rq, answer_value=outcome.answer_value)
                     continue
 
@@ -474,12 +486,12 @@ def execute_plan(
                         slim = {}
                 except MissingKeyError as exc:
                     fail_node(i, FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME,
-                              f"result of node {i} lacks required key {exc.key!r}", rq=rq)
+                              f"result of node {i} lacks required key {exc.key!r}", elapsed, rq=rq)
                     continue
 
                 label = node.label or f"$var_{i}"
                 if label in bindings:
-                    fail_node(i, FeedbackClass.STORE_ERROR, f"label {label} already bound", rq=rq)
+                    fail_node(i, FeedbackClass.STORE_ERROR, f"label {label} already bound", elapsed, rq=rq)
                     continue
                 bindings[label] = Binding(
                     label=label,

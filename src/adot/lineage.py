@@ -1,7 +1,8 @@
 """Append-only evidence trail for plan executions.
 
 One JSON line per record. Records carry logical ``started``/``finished``
-counters (deterministic across runs) plus an auxiliary wall-clock field,
+counters (deterministic across runs) plus ``wall_ms``, the node's elapsed
+time in milliseconds (for a timed-out node, the time waited for it),
 and enough structure (``input_labels``, ``provenance_refs``) to walk an
 answer back to the exact source rows and chunks that produced it.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
-import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -182,10 +183,6 @@ def summarize_result(result: Any) -> tuple[dict[str, Any], tuple]:
     return {"hits": len(hits), "samples": samples}, tuple(refs)
 
 
-def wall_ms() -> float:
-    return time.time() * 1000.0
-
-
 def trace_answer(
     lineage: str | Path | Iterable[LineageRecord],
     answer_node_label: str,
@@ -206,9 +203,9 @@ def trace_answer(
     closure: list = []
     seen_refs: set = set()
     visited: set[str] = set()
-    stack = [answer_node_label]
-    while stack:
-        label = stack.pop(0)
+    queue = deque([answer_node_label])
+    while queue:
+        label = queue.popleft()
         if label in visited:
             continue
         visited.add(label)
@@ -219,5 +216,5 @@ def trace_answer(
             if ref not in seen_refs:
                 seen_refs.add(ref)
                 closure.append(ref)
-        stack.extend(rec.input_labels)
+        queue.extend(rec.input_labels)
     return closure

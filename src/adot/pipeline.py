@@ -25,7 +25,7 @@ from .adapters import (
     PlannerMissError,
     ScriptedPlanner,
 )
-from .cache import PlanCache
+from .cache import CacheFileError, PlanCache
 from .dataops import (
     ActionKind,
     DEFAULT_MAX_ITERATIONS,
@@ -207,11 +207,13 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.planner = planner if planner is not None else build_planner(self.config.planner)
         self.replanner = replanner if replanner is not None else build_replanner(self.config.replanner)
-        if cache is not None:
-            self.cache = cache
-        elif self.config.cache_file and Path(self.config.cache_file).exists():
-            self.cache = PlanCache.load(self.config.cache_file)
-        else:
+        self.cache = cache
+        if cache is None and self.config.cache_file and Path(self.config.cache_file).exists():
+            try:
+                self.cache = PlanCache.load(self.config.cache_file)
+            except CacheFileError as exc:
+                logger.warning("starting with an empty plan cache: %s", exc)
+        if self.cache is None:
             self.cache = PlanCache(capacity=self.config.cache_capacity, tau=self.config.tau)
         self.auditor = auditor if auditor is not None else (HeuristicAuditor() if self.config.audit else None)
         self.adapters = adapters or make_default_adapters(

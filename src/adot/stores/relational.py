@@ -8,9 +8,11 @@ row ids. This is deliberately not a SQL engine.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
 from .schema import TableSchema
 
@@ -190,32 +192,17 @@ class ResultSet:
 EMPTY_RESULT = ResultSet(columns=(), rows=(), provenance=())
 
 
-def _compare(op: str, cell: Any, value: Any, col_type: str, column: str) -> bool:
-    if op == "in":
-        if not isinstance(value, (list, tuple, set, frozenset)):
-            raise TypeMismatchError(f"filter {column!r}: IN expects a value list, got {value!r}")
-        for v in value:
-            _check_comparable(cell, v, col_type, column)
-        return cell is not None and cell in set(value)
-    _check_comparable(cell, value, col_type, column)
-    if cell is None:
-        return False
-    if op == "=":
-        return cell == value
-    if op == "!=":
-        return cell != value
-    if op == "<":
-        return cell < value
-    if op == "<=":
-        return cell <= value
-    if op == ">":
-        return cell > value
-    if op == ">=":
-        return cell >= value
-    raise MiniQuerySyntaxError(f"unknown operator {op!r}")
+_FLIPPED = {  # cell OP literal  is  _FLIPPED[OP](literal, cell)
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.gt,
+    "<=": operator.ge,
+    ">": operator.lt,
+    ">=": operator.le,
+}
 
 
-def _check_comparable(cell: Any, value: Any, col_type: str, column: str) -> None:
+def _check_literal(value: Any, col_type: str, column: str) -> None:
     if value is None:
         return
     if col_type in ("int", "float"):
@@ -227,6 +214,26 @@ def _check_comparable(cell: Any, value: Any, col_type: str, column: str) -> None
     elif col_type == "bool":
         if not isinstance(value, bool):
             raise TypeMismatchError(f"filter {column!r}: bool column compared with {value!r}")
+
+
+def _cell_test(f: Filter, col_type: str) -> Callable[[Any], bool]:
+    """Check ``f``'s literal once and return its test for one non-null cell.
+
+    ``in`` becomes a hash semi-join: one set of the listed values, probed
+    once per cell.
+    """
+    if f.op == "in":
+        if not isinstance(f.value, (list, tuple, set, frozenset)):
+            raise TypeMismatchError(f"filter {f.column!r}: IN expects a value list, got {f.value!r}")
+        for v in f.value:
+            _check_literal(v, col_type, f.column)
+        return set(f.value).__contains__
+    if f.op not in _FLIPPED:
+        raise MiniQuerySyntaxError(f"unknown operator {f.op!r}")
+    _check_literal(f.value, col_type, f.column)
+    if f.value is None and f.op not in ("=", "!="):
+        raise TypeMismatchError(f"filter {f.column!r}: {f.op} needs a non-null value")
+    return partial(_FLIPPED[f.op], f.value)
 
 
 def _aggregate_value(func: str, values: list) -> Any:
@@ -243,56 +250,77 @@ def _aggregate_value(func: str, values: list) -> Any:
     raise MiniQuerySyntaxError(f"unknown aggregate {func!r}")
 
 
+def _table(tables: Mapping[str, Table], name: str) -> Table:
+    table = tables.get(name)
+    if table is None:
+        raise UnknownTableError(f"unknown table {name!r}")
+    return table
+
+
 def exec_structured(store: Any, query: StructuredQuery) -> ResultSet:
     """Execute a mini-language query against the store's tables.
 
     ``store`` is anything with a ``tables`` mapping (or a plain mapping of
-    name -> Table). Aggregates over an empty filtered set return an empty
-    ResultSet rather than 0/null so downstream stages see "no data"
-    unambiguously.
+    name -> Table). Execution is set-at-a-time. Each filter checks its
+    literal once, before any row is read (every element of an ``in``
+    list), then keeps the row ids whose cell passes; ``in`` probes one set
+    of the listed values (a hash semi-join). A null cell passes no filter.
+    An ill-typed literal raises :class:`TypeMismatchError` even when no row
+    would reach the filter, and so does an ordering comparison with a null
+    literal. Each filter runs on the table that owns its column, before the
+    join: for this inner join that gives the rows, order and provenance
+    that filtering the joined relation would. RowRef provenance is built
+    only for rows that survive. Aggregates over an empty filtered set
+    return an empty ResultSet rather than 0/null so downstream stages see
+    "no data" unambiguously.
     """
     tables: Mapping[str, Table] = getattr(store, "tables", store)
-    base = tables.get(query.table)
-    if base is None:
-        raise UnknownTableError(f"unknown table {query.table!r}")
-
-    # Working relation: column names, type map, rows with provenance.
-    columns = list(base.schema.column_names)
-    types = {c.name: c.type for c in base.schema.columns}
-    working: list[tuple[tuple, tuple]] = [
-        (row, (RowRef(base.name, rid),)) for rid, row in enumerate(base.rows)
-    ]
-
+    sides = [_table(tables, query.table)]
     if query.join is not None:
-        other = tables.get(query.join.table)
-        if other is None:
-            raise UnknownTableError(f"unknown table {query.join.table!r}")
-        li = base.column_index(query.join.left_column)
-        ri = other.column_index(query.join.right_column)
-        by_key: dict[Any, list[tuple[int, tuple]]] = {}
-        for rid, row in enumerate(other.rows):
-            if row[ri] is not None:
-                by_key.setdefault(row[ri], []).append((rid, row))
-        for c in other.schema.columns:
-            out_name = c.name if c.name not in columns else f"{other.name}.{c.name}"
-            columns.append(out_name)
-            types[out_name] = c.type
-        joined: list[tuple[tuple, tuple]] = []
-        for row, refs in working:
-            for rid, orow in by_key.get(row[li], ()):  # inner join
-                joined.append((row + orow, refs + (RowRef(other.name, rid),)))
-        working = joined
+        sides.append(_table(tables, query.join.table))
+
+    # Output column name -> (its position, side, column index in that side's table, type).
+    owner: dict[str, tuple[int, int, int, str]] = {}
+    for side, table in enumerate(sides):
+        for i, c in enumerate(table.schema.columns):
+            name = c.name if c.name not in owner else f"{table.name}.{c.name}"
+            owner[name] = (len(owner), side, i, c.type)
+    columns = list(owner)
+
+    def locate(name: str) -> tuple[int, int, int, str]:
+        try:
+            return owner[name]
+        except KeyError:
+            raise UnknownColumnError(f"no column {name!r} in {query.table!r} query") from None
 
     def col_idx(name: str) -> int:
-        if name not in columns:
-            raise UnknownColumnError(f"no column {name!r} in {query.table!r} query")
-        return columns.index(name)
+        return locate(name)[0]
 
+    if query.join is not None:
+        left_key = sides[0].column_index(query.join.left_column)
+        right_key = sides[1].column_index(query.join.right_column)
+
+    kept: list[Sequence[int]] = [range(len(t.rows)) for t in sides]
     for f in query.filters:
-        idx = col_idx(f.column)
-        ctype = types[f.column]
+        _, side, idx, ctype = locate(f.column)
+        test = _cell_test(f, ctype)
+        table_rows = sides[side].rows
+        kept[side] = [rid for rid in kept[side] if (cell := table_rows[rid][idx]) is not None and test(cell)]
+
+    base = sides[0]
+    if query.join is None:
+        working = [(base.rows[rid], (RowRef(base.name, rid),)) for rid in kept[0]]
+    else:
+        other = sides[1]
+        by_key: dict[Any, list[int]] = {}
+        for rid in kept[1]:
+            key = other.rows[rid][right_key]
+            if key is not None:
+                by_key.setdefault(key, []).append(rid)
         working = [
-            (row, refs) for row, refs in working if _compare(f.op, row[idx], f.value, ctype, f.column)
+            (base.rows[b] + other.rows[o], (RowRef(base.name, b), RowRef(other.name, o)))
+            for b in kept[0]
+            for o in by_key.get(base.rows[b][left_key], ())  # inner join
         ]
 
     if query.aggregate is None:
@@ -350,6 +378,7 @@ _TOKEN_RE = re.compile(
       | (?P<str>'(?:[^']*)')
       | (?P<op><=|>=|!=|=|<|>)
       | (?P<punct>[(),\[\]*])
+      | (?P<ref>\$var_\d+\.[A-Za-z_]\w*)
       | (?P<word>[A-Za-z_][A-Za-z0-9_.$]*)
     )""",
     re.VERBOSE,
@@ -373,9 +402,10 @@ def _tokenize(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
+    def __init__(self, tokens: list[str], bindings: Mapping[str, Mapping[str, Sequence[Any]]]):
         self.tokens = tokens
         self.pos = 0
+        self.bindings = bindings
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -392,8 +422,26 @@ class _Parser:
         if tok.lower() != word:
             raise MiniQuerySyntaxError(f"expected {word!r}, got {tok!r}")
 
+    def reference_values(self, tok: str) -> list:
+        label, column = tok.split(".")
+        try:
+            return list(self.bindings[label][column])
+        except KeyError:
+            raise MiniQuerySyntaxError(f"no bound values for {tok}") from None
+
+    def parse_values(self) -> list:
+        """One list element: a literal, or every value bound to a reference."""
+        if self.peek() is not None and self.peek().startswith("$var_"):
+            return self.reference_values(self.next())
+        return [self.parse_value()]
+
     def parse_value(self) -> Any:
         tok = self.next()
+        if tok.startswith("$var_"):
+            values = self.reference_values(tok)
+            if len(values) != 1:
+                raise MiniQuerySyntaxError(f"{tok} binds {len(values)} values; use `in [{tok}]`")
+            return values[0]
         if tok.startswith("'"):
             return tok[1:-1]
         if tok.lower() == "true":
@@ -406,7 +454,9 @@ class _Parser:
             raise MiniQuerySyntaxError(f"expected a value, got {tok!r}") from None
 
 
-def parse_mini_query(text: str) -> StructuredQuery:
+def parse_mini_query(
+    text: str, bindings: Mapping[str, Mapping[str, Sequence[Any]]] | None = None
+) -> StructuredQuery:
     """Parse the textual mini-language.
 
     Grammar::
@@ -417,9 +467,11 @@ def parse_mini_query(text: str) -> StructuredQuery:
           [group by <col>[, <col>]*]
 
     where an item is ``*``, a column, or ``agg(column|*)`` and a condition
-    is ``col OP value`` or ``col in [v1, v2, ...]``.
+    is ``col OP value`` or ``col in [v1, v2, ...]``. A value may be a
+    ``$var_d.col`` reference to ``bindings[label][col]``: in a list it
+    stands for all of its values, typed; elsewhere it must bind exactly one.
     """
-    p = _Parser(_tokenize(text))
+    p = _Parser(_tokenize(text), bindings or {})
     p.expect("select")
 
     select: list[str] = []
@@ -465,10 +517,10 @@ def parse_mini_query(text: str) -> StructuredQuery:
                 p.expect("[")
                 values: list[Any] = []
                 if p.peek() != "]":
-                    values.append(p.parse_value())
+                    values.extend(p.parse_values())
                     while p.peek() == ",":
                         p.next()
-                        values.append(p.parse_value())
+                        values.extend(p.parse_values())
                 p.expect("]")
                 filters.append(Filter(column=col, op="in", value=values))
             else:

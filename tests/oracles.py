@@ -226,3 +226,81 @@ def naive_aggregate(rows: list[tuple], col_idx: int | None, func: str) -> float 
     if func == "max":
         return max(values)
     raise ValueError(func)
+
+
+def naive_exec(tables: dict, query) -> "ResultSet":
+    """Row-at-a-time reference for ``exec_structured`` on well-typed queries.
+
+    Follows the documented semantics literally: build the whole relation
+    (the inner join of every base row with every matching row of the joined
+    table, in base-row then joined-row order, with a clashing joined column
+    named ``<table>.<column>``), then apply each filter to every row (a null
+    cell passes no filter), then project, or group in first-appearance order
+    and aggregate the non-null values, dropping groups with none.
+    """
+    from adot.stores.relational import ResultSet, RowRef
+
+    base = tables[query.table]
+    columns = [c.name for c in base.schema.columns]
+    relation = [(row, (RowRef(base.name, rid),)) for rid, row in enumerate(base.rows)]
+    if query.join is not None:
+        other = tables[query.join.table]
+        for c in other.schema.columns:
+            columns.append(c.name if c.name not in columns else f"{other.name}.{c.name}")
+        li = [c.name for c in base.schema.columns].index(query.join.left_column)
+        ri = [c.name for c in other.schema.columns].index(query.join.right_column)
+        joined = []
+        for row, refs in relation:
+            for rid, orow in enumerate(other.rows):
+                if row[li] is not None and orow[ri] is not None and row[li] == orow[ri]:
+                    joined.append((row + orow, refs + (RowRef(other.name, rid),)))
+        relation = joined
+
+    def passes(cell, op, value) -> bool:
+        if cell is None:
+            return False
+        if op == "in":
+            return any(cell == v for v in value if v is not None)
+        if value is None:
+            return op == "!="
+        return {
+            "=": cell == value, "!=": cell != value, "<": cell < value,
+            "<=": cell <= value, ">": cell > value, ">=": cell >= value,
+        }[op]
+
+    for f in query.filters:
+        i = columns.index(f.column)
+        relation = [(row, refs) for row, refs in relation if passes(row[i], f.op, f.value)]
+
+    if query.aggregate is None:
+        out_cols = columns if query.select == ("*",) else list(query.select)
+        picks = [columns.index(c) for c in out_cols]
+        return ResultSet(
+            columns=tuple(out_cols),
+            rows=tuple(tuple(row[i] for i in picks) for row, _ in relation),
+            provenance=tuple(refs for _, refs in relation),
+        )
+
+    agg = query.aggregate
+    keys: list[tuple] = []
+    members: dict[tuple, list] = {}
+    for row, refs in relation:
+        key = tuple(row[columns.index(c)] for c in query.group_by)
+        if key not in members:
+            keys.append(key)
+            members[key] = []
+        members[key].append((row, refs))
+    out_rows, out_prov = [], []
+    col = columns.index(agg.column) if agg.column is not None else None
+    for key in keys:
+        group = members[key]
+        value = naive_aggregate([row for row, _ in group], col, agg.func) if col is not None else len(group)
+        if value is None:
+            continue
+        out_rows.append(key + (value,))
+        out_prov.append(tuple(ref for _, refs in group for ref in refs))
+    return ResultSet(
+        columns=tuple(query.group_by) + (f"{agg.func}({agg.column or '*'})",),
+        rows=tuple(out_rows),
+        provenance=tuple(out_prov),
+    )

@@ -79,6 +79,18 @@ def test_structured_aggregate_template(queensland_store):
     assert outcome.answer_value == 1
 
 
+def test_structured_aggregate_template_takes_a_reference_typed(queensland_store):
+    outcome = run_structured_adapter(
+        rq_structured(
+            "What is the count of club where league = $var_1.league?",
+            bindings={"$var_1": {"league": ["Motorsport", "Rugby, League's"]}},
+        ),
+        queensland_store,
+    )
+    assert outcome.ok
+    assert outcome.answer_value == 1
+
+
 def test_structured_backtick_escape_hatch(invoices_store):
     outcome = run_structured_adapter(
         rq_structured("run `select avg(total_amount) from invoices where state = 'texas'`"),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 from random import Random
 
 import pytest
@@ -267,6 +269,35 @@ def test_cache_snapshot_round_trip(tmp_path):
     assert hit is not None and hit.strategy == "template"
     exact = loaded.lookup("another concrete question", SIG_A, CTX)
     assert exact.strategy == "exact"
+
+
+def test_save_interrupted_before_rename_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = invoice_template_cache()
+    cache.save(path)
+    cache.insert("another concrete question", SIG_A, CTX, simple_plan("concrete"))
+
+    def crash(src, dst):
+        raise OSError("simulated crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        cache.save(path)
+    monkeypatch.undo()
+    assert len(PlanCache.load(path)) == len(cache) - 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_entries_waits_for_the_lock():
+    cache = invoice_template_cache()
+    got: list = []
+    with cache._lock:
+        reader = threading.Thread(target=lambda: got.append(cache.entries()))
+        reader.start()
+        reader.join(timeout=0.2)
+        assert reader.is_alive() and not got
+    reader.join(timeout=5)
+    assert not reader.is_alive() and len(got[0]) == len(cache)
 
 
 def test_capacity_and_tau_validation():

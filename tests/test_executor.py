@@ -273,6 +273,29 @@ def test_execute_timeout_feedback():
     assert result.feedback[0].error_class is FeedbackClass.TIMEOUT
 
 
+def _raising_adapters():
+    def run(rq):
+        raise RuntimeError("adapter bug")
+
+    return {Tool.STRUCTURED: run, Tool.VECTOR: run}
+
+
+@pytest.mark.parametrize("adapters, node_timeout, low_ms, klass", [
+    (simulated_adapters(delay=0.3), 0.05, 40.0, FeedbackClass.TIMEOUT),
+    (simulated_adapters(fail_nodes=frozenset({1})), 30.0, 0.0, FeedbackClass.NO_MATCH),
+    (_raising_adapters(), 30.0, 0.0, FeedbackClass.STORE_ERROR),
+], ids=["timeout", "adapter_error", "adapter_raised"])
+def test_failed_node_wall_ms_is_a_duration(adapters, node_timeout, low_ms, klass):
+    doc = {"subquestions": [
+        {"question": "q?", "tool": "sql", "label": "$var_1", "should_expose_answer": True, "answer_description": "d"},
+    ]}
+    result = execute_plan(parse_doc(doc), adapters=adapters, config=ExecutorConfig(node_timeout=node_timeout))
+    assert result.feedback[0].error_class is klass
+    (record,) = [r for r in result.lineage.records if r.kind == "node"]
+    assert record.status == "failed"
+    assert low_ms <= record.wall_ms < 10_000.0
+
+
 def test_diamond_parallel_timing():
     plan = parse_doc(DIAMOND_DOC)
     adapters = {
@@ -464,6 +487,37 @@ def test_group_by_escape_hatch_through_a_plan(invoices_store):
     result = execute_plan(parse_doc(doc), invoices_store)
     assert result.ok
     assert "texas" in result.final_answer and "160.25" in result.final_answer
+
+
+@pytest.mark.parametrize("second", [
+    "What is the points of matches with player in $var_1.full_name?",
+    "Points: `select points from matches where player in [$var_1.full_name]`",
+])
+def test_text_keys_with_quote_and_comma_reach_the_filter_typed(second):
+    from adot.stores.ingest import build_store
+    from adot.stores.relational import Table
+    from adot.stores.schema import Column, TableSchema
+
+    members = Table(
+        TableSchema("members", (Column("member_id", "int"), Column("full_name", "text"), Column("club", "text"))),
+        rows=[(1, "Dan O'Brien", "reds"), (2, "Al Smith, Jr.", "reds"), (3, "Bo Lee", "blues")],
+    )
+    matches = Table(
+        TableSchema("matches", (Column("match_id", "int"), Column("player", "text"), Column("points", "int"))),
+        rows=[(10, "Dan O'Brien", 7), (11, "Bo Lee", 3), (12, "Al Smith, Jr.", 9)],
+    )
+    store, _ = build_store([members, matches], [])
+    doc = {"subquestions": [
+        {"question": "What is the full_name of members with club in 'reds'?", "tool": "iceberg",
+         "label": "$var_1", "should_expose_answer": False},
+        {"question": second, "tool": "iceberg", "label": "$var_2",
+         "should_expose_answer": True, "answer_description": "Points"},
+    ]}
+    result = execute_plan(parse_doc(doc), store)
+    assert result.ok
+    assert result.bindings["$var_2"].answer_value == [7, 9]
+    record = next(r for r in result.lineage.records if r.label == "$var_2")
+    assert record.question_resolved == second.replace("$var_1.full_name", "'Dan O'Brien', 'Al Smith, Jr.'")
 
 
 # --- synthesize -------------------------------------------------------------------

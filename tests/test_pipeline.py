@@ -162,6 +162,20 @@ def test_cache_file_persists_across_pipelines(tmp_path):
     assert result.cache_strategy == "exact"
 
 
+@pytest.mark.parametrize("damage", ["truncated", "not_json"])
+def test_unreadable_cache_file_starts_empty_with_a_warning(tmp_path, caplog, damage):
+    cache_file = tmp_path / "cache.json"
+    olympics_pipeline(cache_file=str(cache_file)).answer_question(OLYMPICS_QUESTION)
+    text = cache_file.read_text()
+    cache_file.write_text(text[: len(text) // 2] if damage == "truncated" else "not a cache")
+    with caplog.at_level("WARNING", logger="adot.pipeline"):
+        pipeline = olympics_pipeline(cache_file=str(cache_file))
+    assert len(pipeline.cache) == 0
+    assert "empty plan cache" in caplog.text
+    assert pipeline.answer_question(OLYMPICS_QUESTION).status == "ok"
+    assert len(olympics_pipeline(cache_file=str(cache_file)).cache) == 1
+
+
 def test_config_precedence_file_env_overrides(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"tau": 0.7, "top_k": 3, "context_role": "file-role"}))

@@ -36,7 +36,7 @@ from adot.stores.vector import (
     cosine,
     embed,
 )
-from oracles import bow_cosine, bow_embed, naive_aggregate, rank_chunks
+from oracles import bow_cosine, bow_embed, naive_aggregate, naive_exec, rank_chunks
 
 # --- schema signature -------------------------------------------------------
 
@@ -204,6 +204,78 @@ def test_aggregates_match_naive_oracle_on_random_tables():
                 assert rs.rows[0][0] == pytest.approx(expected)
 
 
+_DIFF_DOMAINS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "float": lambda rng: rng.choice([rng.randint(-3, 3), rng.randint(-6, 6) / 2]),
+    "text": lambda rng: rng.choice(["a", "b", "c", "d"]),
+    "bool": lambda rng: rng.random() < 0.5,
+}
+
+
+def _random_table(rng: Random, name: str, columns: tuple[tuple[str, str], ...]) -> Table:
+    def cell(ctype: str):
+        return None if rng.random() < 0.15 else _DIFF_DOMAINS[ctype](rng)
+
+    rows = [tuple(cell(ctype) for _, ctype in columns) for _ in range(rng.choice([0, 1, 5, 30]))]
+    return Table(schema=TableSchema(name, tuple(Column(c, t) for c, t in columns)), rows=rows)
+
+
+def _random_filter(rng: Random, column: str, ctype: str) -> Filter:
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">=", "in", "in"])
+    if op == "in":
+        values = [_DIFF_DOMAINS[ctype](rng) for _ in range(rng.choice([0, 1, 3, 6]))]
+        values += rng.sample(values, len(values) // 2)  # duplicates
+        if rng.random() < 0.2:
+            values.append(None)
+        return Filter(column, "in", values)
+    if op in ("=", "!=") and rng.random() < 0.1:
+        return Filter(column, op, None)
+    return Filter(column, op, _DIFF_DOMAINS[ctype](rng))
+
+
+def test_exec_structured_matches_naive_oracle_on_random_tables():
+    rng = Random(2024)
+    left_cols = (("k", "int"), ("t", "text"), ("f", "float"), ("b", "bool"))
+    right_cols = (("k", "int"), ("name", "text"), ("w", "float"))
+    shapes = {"select": 0, "join": 0, "group": 0}
+    for trial in range(600):
+        tables = {"l": _random_table(rng, "l", left_cols), "r": _random_table(rng, "r", right_cols)}
+        join = Join("r", "k", "k") if rng.random() < 0.4 else None
+        typed = dict(left_cols) | ({"r.k": "int", "name": "text", "w": "float"} if join else {})
+        filters = tuple(
+            _random_filter(rng, col, typed[col]) for col in rng.sample(sorted(typed), rng.randint(0, 3))
+        )
+        if rng.random() < 0.5:
+            func = rng.choice(["count", "sum", "avg", "min", "max"])
+            numeric = [c for c, t in typed.items() if t in ("int", "float")]
+            column = rng.choice(numeric if func in ("sum", "avg") else sorted(typed) + [None] * (func == "count"))
+            group_by = tuple(rng.sample(sorted(typed), rng.randint(0, 2)))
+            query = StructuredQuery("l", select=(), join=join, filters=filters,
+                                    aggregate=Aggregate(func, column), group_by=group_by)
+            shapes["group"] += 1
+        else:
+            select = ("*",) if rng.random() < 0.3 else tuple(rng.sample(sorted(typed), rng.randint(1, 3)))
+            query = StructuredQuery("l", select=select, join=join, filters=filters)
+            shapes["select"] += 1
+        shapes["join"] += join is not None and any(f.column in ("name", "w", "r.k") for f in filters)
+        assert exec_structured(tables, query) == naive_exec(tables, query), (trial, query)
+    assert min(shapes.values()) >= 50
+
+
+def test_ill_typed_literal_raises_even_when_no_row_reaches_the_filter(people_table):
+    empty = {"people": Table(schema=people_table["people"].schema, rows=[])}
+    for filters in (
+        (Filter("age", "=", "old"),),
+        (Filter("name", "in", ["ann", 3]),),
+        (Filter("id", "in", 7),),
+        (Filter("id", "=", -1), Filter("city", ">", 4)),  # the first filter keeps no row
+        (Filter("age", "<", None),),
+    ):
+        for tables in (empty, people_table):
+            with pytest.raises(TypeMismatchError):
+                exec_structured(tables, StructuredQuery(table="people", filters=filters))
+
+
 def test_mini_language_parser_round_trip():
     q = parse_mini_query("select venue from sport_in_queensland where document_id in [7, 9] and venue != 'X'")
     assert q.table == "sport_in_queensland"
@@ -219,6 +291,13 @@ def test_mini_language_parser_round_trip():
 
     with pytest.raises(MiniQuerySyntaxError):
         parse_mini_query("selekt things")
+
+    bindings = {"$var_1": {"name": ["O'Brien", "Smith, Jr."], "id": [7]}}
+    typed = parse_mini_query("select pts from t where name in [$var_1.name, 'x'] and id = $var_1.id", bindings)
+    assert typed.filters == (Filter("name", "in", ["O'Brien", "Smith, Jr.", "x"]), Filter("id", "=", 7))
+    for text in ("select pts from t where id = $var_1.name", "select pts from t where id in [$var_2.id]"):
+        with pytest.raises(MiniQuerySyntaxError):
+            parse_mini_query(text, bindings)
 
 
 # --- vector index -------------------------------------------------------------
