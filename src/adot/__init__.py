@@ -20,7 +20,6 @@ from .adapters import (
     TranslationFailedError,
     run_structured_adapter,
     run_vector_adapter,
-    scripted_planner,
 )
 from .cache import (
     CacheEntry,
@@ -37,7 +36,6 @@ from .dataops import (
     DataOpsAction,
     Diagnosis,
     DiagnosisClass,
-    EditHistory,
     EditRecord,
     ExternalReplanner,
     NoOpReplanner,
@@ -75,7 +73,6 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     PipelineResult,
-    answer_question,
     load_config,
 )
 from .plan_ir import (

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
 from .cache import normalize_query
-from .plan_ir import VAR_REF_PATTERN, Plan, Tool, parse_plan
+from .plan_ir import VAR_REF_PATTERN, ParseError, Plan, Tool, parse_plan
 from .stores.relational import (
     Aggregate,
     Filter,
@@ -311,16 +311,6 @@ class Planner(Protocol):
     def generate(self, question: str) -> Plan: ...
 
 
-def scripted_planner(question: str, script: Mapping[str, Any]) -> Plan:
-    """Look up a plan by normalized question text."""
-    entry = script.get(normalize_query(question))
-    if entry is None:
-        raise PlannerMissError(question)
-    if isinstance(entry, str):
-        return parse_plan(entry)
-    return parse_plan(json.dumps(entry))
-
-
 class ScriptedPlanner:
     """Deterministic planner backed by a question -> plan JSON map."""
 
@@ -332,7 +322,11 @@ class ScriptedPlanner:
         return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def generate(self, question: str) -> Plan:
-        return scripted_planner(question, self._script)
+        """Look up a plan by normalized question text."""
+        entry = self._script.get(normalize_query(question))
+        if entry is None:
+            raise PlannerMissError(question)
+        return parse_plan(entry if isinstance(entry, str) else json.dumps(entry))
 
 
 class ExternalPlanner:
@@ -343,13 +337,20 @@ class ExternalPlanner:
         self.timeout = timeout
 
     def generate(self, question: str) -> Plan:
-        proc = subprocess.run(
-            shlex.split(self.command),
-            input=question,
-            capture_output=True,
-            text=True,
-            timeout=self.timeout,
-        )
+        """The command's plan; any failure to get one is a :class:`PlannerMissError`."""
+        try:
+            proc = subprocess.run(
+                shlex.split(self.command),
+                input=question,
+                capture_output=True,
+                text=True,
+                timeout=self.timeout,
+            )
+        except (OSError, ValueError, subprocess.TimeoutExpired) as exc:  # ValueError: unbalanced quotes
+            raise PlannerMissError(f"external planner failed: {exc}") from exc
         if proc.returncode != 0:
             raise PlannerMissError(f"external planner failed: {proc.stderr.strip()}")
-        return parse_plan(proc.stdout)
+        try:
+            return parse_plan(proc.stdout)
+        except ParseError as exc:
+            raise PlannerMissError(f"external planner printed no plan: {exc}") from exc

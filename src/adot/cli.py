@@ -10,24 +10,15 @@ import json
 import sys
 from pathlib import Path
 
+from .adapters import ScriptedPlanner
 from .cache import PlanCache
 from .lineage import trace_answer
-from .pipeline import Pipeline, PipelineConfig, load_config
-from .plan_ir import Plan, parse_plan
+from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
+from .plan_ir import parse_plan
 from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, IngestError, ingest
 from .stores.schema import GlobalSchema
 from .stores.store import load_store
 from .validator import validate_plan
-
-
-class _FixedPlanner:
-    """Planner that always returns one pre-parsed plan (used by `run`)."""
-
-    def __init__(self, plan: Plan):
-        self._plan = plan
-
-    def generate(self, question: str) -> Plan:
-        return self._plan
 
 
 def _print_event(event) -> None:
@@ -65,27 +56,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.is_valid else 2
 
 
-def _bool_flag(value: str) -> bool:
-    return value.lower() in ("on", "true", "1", "yes")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    plan = parse_plan(Path(args.plan).read_text(encoding="utf-8"))
+    plan_text = Path(args.plan).read_text(encoding="utf-8")
+    question = parse_plan(plan_text).source_query
     store = load_store(args.store)
     config = PipelineConfig(
         store_dir=args.store,
         max_parallel=1 if args.sequential else args.max_parallel,
         max_fix_iterations=args.max_fix_iterations,
-        dataops=_bool_flag(args.dataops),
+        dataops=parse_bool(args.dataops),
         cache_enabled=False,
         audit=False,
         lineage_path=args.lineage,
         replanner=args.replanner,
     )
-    pipeline = Pipeline(store=store, config=config, planner=_FixedPlanner(plan))
-    result = pipeline.answer_question(
-        plan.source_query or "", on_event=_print_event if args.stream else None
-    )
+    pipeline = Pipeline(store=store, config=config, planner=ScriptedPlanner({question: plan_text}))
+    result = pipeline.answer_question(question, on_event=_print_event if args.stream else None)
     if result.final_answer:
         print(result.final_answer)
     for message in result.messages:
@@ -114,8 +100,8 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         node_timeout=args.node_timeout,
         context_role=args.context_role,
         policy_flags=tuple(args.policy_flag or ()) or None,
-        dataops=_bool_flag(args.dataops) if args.dataops else None,
-        audit=_bool_flag(args.audit) if args.audit else None,
+        dataops=parse_bool(args.dataops) if args.dataops else None,
+        audit=parse_bool(args.audit) if args.audit else None,
         cache_enabled=False if args.no_cache else None,
     )
     pipeline = Pipeline.from_config(config)

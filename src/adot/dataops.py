@@ -66,15 +66,11 @@ class EditRecord:
     delta_summary: str
 
 
-EditHistory = list[EditRecord]
-
-
 @dataclass(frozen=True)
 class DataOpsAction:
     kind: ActionKind
     messages: tuple[str, ...] = ()
     plan: Plan | None = None
-    history: tuple[EditRecord, ...] = ()
 
 
 _VALIDATION_MAP = {
@@ -275,7 +271,7 @@ class ExternalReplanner:
                 text=True,
                 timeout=self.timeout,
             )
-        except (OSError, subprocess.TimeoutExpired) as exc:
+        except (OSError, ValueError, subprocess.TimeoutExpired) as exc:  # ValueError: unbalanced quotes
             logger.warning("external replanner failed: %s", exc)
             return None
         if proc.returncode != 0:
@@ -303,18 +299,15 @@ def remediate(
     to the replanner, and when it offers nothing the loop aborts. A Fix
     never adds or removes nodes and never touches executed nodes' outputs.
     """
-    attached = tuple(history)
-    if len(attached) >= max_iterations:
+    if len(history) >= max_iterations:
         return DataOpsAction(
             kind=ActionKind.ABORT,
             messages=(f"remediation budget of {max_iterations} iterations exhausted",),
-            history=attached,
         )
     if any(d.error_class is DiagnosisClass.INFRASTRUCTURE_DOWN for d in diagnoses):
         return DataOpsAction(
             kind=ActionKind.RECOMMEND,
             messages=("store unreachable or timing out; retry later or escalate to an operator",),
-            history=attached,
         )
 
     candidate = plan
@@ -330,13 +323,12 @@ def remediate(
         deltas.append(delta)
 
     if deltas and validate_plan(candidate, schema).is_valid:
-        return DataOpsAction(kind=ActionKind.FIX, plan=candidate, messages=tuple(deltas), history=attached)
+        return DataOpsAction(kind=ActionKind.FIX, plan=candidate, messages=tuple(deltas))
 
     proposed = replanner.replan(plan, schema, diagnoses) if replanner is not None else None
     if proposed is not None:
-        return DataOpsAction(kind=ActionKind.REPLAN, plan=proposed, messages=("replanned",), history=attached)
+        return DataOpsAction(kind=ActionKind.REPLAN, plan=proposed, messages=("replanned",))
     return DataOpsAction(
         kind=ActionKind.ABORT,
         messages=("no applicable fix and the replanner offered no plan",),
-        history=attached,
     )

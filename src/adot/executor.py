@@ -382,6 +382,24 @@ def execute_plan(
         if on_event is not None:
             on_event(event)
 
+    def record(index: int, status: str, rq: ResolvedSubQuery | None = None, **fields: Any) -> None:
+        """Append the lineage record of one node outcome (ok, failed or skipped)."""
+        node = nodes[index]
+        fields.setdefault("label", node.label)
+        log.append(
+            LineageRecord(
+                kind="node",
+                node_index=index,
+                tool=TOOL_CANONICAL.get(node.tool) if node.tool else None,
+                question_resolved=rq.question_resolved if rq else None,
+                status=status,
+                input_labels=tuple(sorted({f"$var_{r.target_index}" for r in node.var_refs()})),
+                started=log.tick(),
+                finished=log.tick(),
+                **fields,
+            )
+        )
+
     def fail_node(index: int, klass: FeedbackClass, message: str, elapsed_ms: float, *,
                   infrastructure: bool = False, rq: ResolvedSubQuery | None = None,
                   answer_value: Any = None) -> None:
@@ -396,24 +414,10 @@ def execute_plan(
                 infrastructure=infrastructure,
             )
         )
-        node = nodes[index]
-        log.append(
-            LineageRecord(
-                kind="node",
-                node_index=index,
-                label=node.label,
-                tool=TOOL_CANONICAL.get(node.tool) if node.tool else None,
-                question_resolved=rq.question_resolved if rq else None,
-                status="failed",
-                error_class=klass.value,
-                input_labels=tuple(sorted({f"$var_{r.target_index}" for r in node.var_refs()})),
-                started=log.tick(),
-                finished=log.tick(),
-                wall_ms=elapsed_ms,
-                output_summary={"answer_value": answer_value} if answer_value is not None else {},
-            )
-        )
-        emit(EventKind.NODE_FAILED, index, {"label": node.label, "error_class": klass.value, "message": message})
+        record(index, "failed", rq, error_class=klass.value, wall_ms=elapsed_ms,
+               output_summary={"answer_value": answer_value} if answer_value is not None else {})
+        emit(EventKind.NODE_FAILED, index,
+             {"label": nodes[index].label, "error_class": klass.value, "message": message})
 
     def run_node(index: int):
         """(resolved sub-question, outcome, exception raised, elapsed ms)."""
@@ -437,16 +441,7 @@ def execute_plan(
             for i in wave:
                 if graph[i] & (failed | skipped):
                     skipped.add(i)
-                    log.append(
-                        LineageRecord(
-                            kind="node",
-                            node_index=i,
-                            label=nodes[i].label,
-                            tool=TOOL_CANONICAL.get(nodes[i].tool) if nodes[i].tool else None,
-                            status="skipped",
-                            input_labels=tuple(sorted({f"$var_{r.target_index}" for r in nodes[i].var_refs()})),
-                        )
-                    )
+                    record(i, "skipped")
                     continue
                 runnable.append(i)
             futures = {i: pool.submit(run_node, i) for i in runnable}
@@ -508,22 +503,8 @@ def execute_plan(
                 summary, provenance = summarize_result(outcome.result)
                 if outcome.answer_value is not None:
                     summary["answer_value_sample"] = render_value(outcome.answer_value)[:200]
-                log.append(
-                    LineageRecord(
-                        kind="node",
-                        node_index=i,
-                        label=label,
-                        tool=TOOL_CANONICAL.get(node.tool) if node.tool else None,
-                        question_resolved=rq.question_resolved,
-                        status="ok",
-                        output_summary=summary,
-                        provenance_refs=provenance,
-                        input_labels=tuple(sorted(rq.bindings_in)),
-                        started=log.tick(),
-                        finished=log.tick(),
-                        wall_ms=elapsed,
-                    )
-                )
+                record(i, "ok", rq, label=label, output_summary=summary,
+                       provenance_refs=provenance, wall_ms=elapsed)
                 emit(EventKind.NODE_COMPLETED, i, {"label": label, "summary": summary})
                 if node.exposes:
                     emit(

@@ -103,19 +103,31 @@ class PipelineConfig:
         )
 
 
-def _coerce_env(raw: str, f: dataclasses.Field) -> Any:
-    name = f.name
-    if name in ("policy_flags",):
-        return tuple(s for s in raw.split(",") if s)
-    if f.type in ("bool",):
-        return raw.lower() in ("1", "true", "yes", "on")
-    if name in ("cache_capacity", "top_k", "max_fix_iterations", "inline_threshold", "max_parallel"):
-        return int(raw)
-    if name in ("tau", "alpha", "node_timeout"):
-        return float(raw)
-    if name in ("slimming", "dataops", "audit", "cache_enabled"):
-        return raw.lower() in ("1", "true", "yes", "on")
-    return raw
+def parse_bool(raw: str) -> bool:
+    value = raw.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+_ENV_PARSERS: dict[str, Callable[[str], Any]] = {
+    "bool": parse_bool,
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[str, ...]": lambda raw: tuple(s for s in raw.split(",") if s),
+}
+
+
+def _coerce_env(key: str, raw: str, f: dataclasses.Field) -> Any:
+    """Parse ``raw`` by the field's annotation; ``X | None`` parses as ``X``."""
+    parse = _ENV_PARSERS[f.type.removesuffix(" | None")]
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def load_config(
@@ -131,7 +143,7 @@ def load_config(
     for f in dataclasses.fields(PipelineConfig):
         key = f"ADOT_{f.name.upper()}"
         if key in env:
-            data[f.name] = _coerce_env(env[key], f)
+            data[f.name] = _coerce_env(key, env[key], f)
     data.update({k: v for k, v in overrides.items() if v is not None})
     return PipelineConfig(**data)
 
@@ -254,119 +266,85 @@ class Pipeline:
         cfg = self.config
         signature = self.store.signature
         context = cfg.context
-        lineage = LineageLog(cfg.lineage_path)
         history: list[EditRecord] = []
-
+        events: list[ExecutionEvent] = []
+        items: list = []
+        plan = cache_strategy = exec_result = None
+        status, messages = "no_plan", ()
+        lineage = LineageLog(cfg.lineage_path)
         try:
-            plan, cache_strategy = self._obtain_plan(question, signature, context, lineage)
-        except PlannerMissError:
-            lineage.close()
-            return PipelineResult(status="no_plan", messages=("no plan available for this question",),
-                                  lineage=lineage, lineage_path=cfg.lineage_path)
-        if plan is None:
-            lineage.close()
-            return PipelineResult(status="no_plan", messages=("no planner configured",),
-                                  lineage=lineage, lineage_path=cfg.lineage_path)
-
-        plan = replace(plan, source_query=question, schema_signature=signature, context=context)
-        planned_fresh = cache_strategy is None
-
-        bindings: dict = {}
-        exec_result = None
-        all_events: list[ExecutionEvent] = []
-        stage = "validate"
-        while True:
-            if stage == "validate":
-                self.validation_calls += 1
-                report = validate_plan(plan, self.store.schema)
-                items: list = list(report.errors)
-                if not items and self.auditor is not None:
-                    items = list(audit_plan(plan, question, self.store.schema, self.auditor).errors)
-                if not items:
-                    stage = "execute"
-                    continue
-                failure_stage = "validate"
+            try:
+                plan, cache_strategy = self._obtain_plan(question, signature, context, lineage)
+            except PlannerMissError:
+                messages = ("no plan available for this question",)
             else:
-                exec_result = execute_plan(
-                    plan,
-                    self.store,
-                    adapters=self.adapters,
-                    config=cfg.executor_config(),
-                    lineage=lineage,
-                    on_event=on_event,
-                    initial_bindings=bindings,
-                )
-                all_events.extend(exec_result.events)
-                bindings = dict(exec_result.bindings)
-                plan = exec_result.plan_after
-                if not exec_result.feedback:
-                    break
-                items = list(exec_result.feedback)
-                failure_stage = "execute"
-
-            terminal_status = "unrecoverable" if failure_stage == "validate" else "execution_failed"
-            if not cfg.dataops:
-                lineage.close()
-                return PipelineResult(
-                    status=terminal_status,
-                    messages=tuple(
-                        getattr(i, "detail", None) or getattr(i, "message", str(i)) for i in items
-                    ),
-                    feedback=tuple(items),
-                    history=tuple(history),
-                    plan=plan,
-                    cache_strategy=cache_strategy,
-                    events=tuple(all_events),
-                    final_answer=exec_result.final_answer if exec_result else None,
-                    lineage=lineage,
-                    lineage_path=cfg.lineage_path,
-                )
-
-            diagnoses = diagnose(items)
-            action = remediate(
-                plan, self.store.schema, history, diagnoses,
-                replanner=self.replanner, max_iterations=cfg.max_fix_iterations,
-            )
-            history.append(
-                EditRecord(
-                    iteration=len(history) + 1,
-                    diagnosis_classes=tuple(d.error_class.value for d in diagnoses),
-                    action_kind=action.kind.value,
-                    delta_summary="; ".join(action.messages),
-                )
-            )
-            self._record_dataops(lineage, action, diagnoses)
-
-            if action.kind in (ActionKind.FIX, ActionKind.REPLAN):
-                if action.kind is ActionKind.REPLAN:
-                    bindings = _reusable_bindings(plan, action.plan, bindings)
-                plan = action.plan
-                stage = "validate"
-                continue
+                if plan is None:
+                    messages = ("no planner configured",)
+            if plan is not None:
+                plan = replace(plan, source_query=question, schema_signature=signature, context=context)
+                bindings: dict = {}
+                while True:
+                    self.validation_calls += 1
+                    items = list(validate_plan(plan, self.store.schema).errors)
+                    if not items and self.auditor is not None:
+                        items = list(audit_plan(plan, question, self.store.schema, self.auditor).errors)
+                    if items:
+                        status = "unrecoverable"
+                    else:
+                        exec_result = execute_plan(
+                            plan,
+                            self.store,
+                            adapters=self.adapters,
+                            config=cfg.executor_config(),
+                            lineage=lineage,
+                            on_event=on_event,
+                            initial_bindings=bindings,
+                        )
+                        events.extend(exec_result.events)
+                        bindings = dict(exec_result.bindings)
+                        plan = exec_result.plan_after
+                        items = list(exec_result.feedback)
+                        status = "execution_failed" if items else "ok"
+                    if status == "ok":
+                        break
+                    if not cfg.dataops:
+                        messages = tuple(
+                            getattr(i, "detail", None) or getattr(i, "message", str(i)) for i in items
+                        )
+                        break
+                    diagnoses = diagnose(items)
+                    action = remediate(
+                        plan, self.store.schema, history, diagnoses,
+                        replanner=self.replanner, max_iterations=cfg.max_fix_iterations,
+                    )
+                    history.append(
+                        EditRecord(
+                            iteration=len(history) + 1,
+                            diagnosis_classes=tuple(d.error_class.value for d in diagnoses),
+                            action_kind=action.kind.value,
+                            delta_summary="; ".join(action.messages),
+                        )
+                    )
+                    self._record_dataops(lineage, action, diagnoses)
+                    if action.kind not in (ActionKind.FIX, ActionKind.REPLAN):
+                        messages = action.messages
+                        break
+                    if action.kind is ActionKind.REPLAN:
+                        bindings = _reusable_bindings(plan, action.plan, bindings)
+                    plan = action.plan
+                if status == "ok" and cache_strategy is None and cfg.cache_enabled:
+                    self.cache.insert(question, signature, context, scrub_plan(plan))
+                    self.save_cache()
+        finally:
             lineage.close()
-            return PipelineResult(
-                status=terminal_status,
-                messages=action.messages,
-                feedback=tuple(items),
-                history=tuple(history),
-                plan=plan,
-                cache_strategy=cache_strategy,
-                events=tuple(all_events),
-                final_answer=exec_result.final_answer if exec_result else None,
-                lineage=lineage,
-                lineage_path=cfg.lineage_path,
-            )
-
-        if planned_fresh and cfg.cache_enabled:
-            self.cache.insert(question, signature, context, scrub_plan(plan))
-            self.save_cache()
-        lineage.close()
         return PipelineResult(
-            status="ok",
-            final_answer=exec_result.final_answer,
-            answers=exec_result.answers,
-            events=tuple(all_events),
+            status=status,
+            final_answer=exec_result.final_answer if exec_result else None,
+            answers=exec_result.answers if status == "ok" else (),
+            events=tuple(events),
+            feedback=tuple(items),
             history=tuple(history),
+            messages=messages,
             plan=plan,
             cache_strategy=cache_strategy,
             lineage=lineage,
@@ -403,8 +381,3 @@ def _reusable_bindings(old_plan: Plan, new_plan: Plan, bindings: Mapping) -> dic
         ):
             keep[sq.label] = bindings[sq.label]
     return keep
-
-
-def answer_question(question: str, config: PipelineConfig) -> PipelineResult:
-    """Convenience one-shot: build a pipeline from config and ask."""
-    return Pipeline.from_config(config).answer_question(question)

@@ -15,7 +15,6 @@ from adot.adapters import (
     TranslationFailedError,
     run_structured_adapter,
     run_vector_adapter,
-    scripted_planner,
 )
 from adot.plan_ir import Tool
 from adot.stores.vector import STOPWORDS, VectorIndex
@@ -232,22 +231,19 @@ def test_external_planner_reads_stdin_prints_plan(fixtures_dir):
     plan = planner.generate("any question")
     assert len(plan) == 3
 
-    failing = ExternalPlanner("false")
+    for command in ("false", "definitely-not-a-command-xyz", "echo nope", "echo 'unbalanced"):
+        with pytest.raises(PlannerMissError):
+            ExternalPlanner(command).generate("any question")
     with pytest.raises(PlannerMissError):
-        failing.generate("any question")
+        ExternalPlanner("sleep 5", timeout=0.2).generate("any question")
 
 
 def test_scripted_planner_paraphrases_normalize_to_same_key(fixtures_dir):
-    from adot.cache import normalize_query
-
-    script = json.loads((fixtures_dir / "olympics" / "script.json").read_text())
-    normalized = {normalize_query(k): v for k, v in script.items()}
-    a = scripted_planner(
-        "  What YEAR was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers??  ",
-        normalized,
+    planner = ScriptedPlanner.from_file(fixtures_dir / "olympics" / "script.json")
+    a = planner.generate(
+        "  What YEAR was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers??  "
     )
-    b = scripted_planner(
-        "what year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers",
-        normalized,
+    b = planner.generate(
+        "what year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers"
     )
     assert a == b

@@ -151,6 +151,18 @@ def test_ask_no_plan_exit_code(store_dir, capsys):
     assert code == 4
 
 
+def test_ask_external_planner_failure_exits_no_plan(store_dir, capsys):
+    code = main([
+        "ask",
+        "--question", "any question?",
+        "--store", str(store_dir),
+        "--planner", "external:definitely-not-a-command-xyz",
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "status: no_plan" in err and "Traceback" not in err
+
+
 def test_ask_sequential_flag(store_dir, capsys):
     question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
     code = main([

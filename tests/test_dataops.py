@@ -193,8 +193,9 @@ def test_external_replanner_subprocess(tmp_path, queensland_store, queensland_pl
     proposal = replanner.replan(queensland_plan, queensland_store.schema, diagnoses)
     assert proposal is not None and len(proposal) == 2
 
-    broken = ExternalReplanner("false")
-    assert broken.replan(queensland_plan, queensland_store.schema, diagnoses) is None
+    for command in ("false", "echo 'unbalanced"):
+        broken = ExternalReplanner(command)
+        assert broken.replan(queensland_plan, queensland_store.schema, diagnoses) is None
 
 
 def test_budget_exhaustion_aborts_with_history(queensland_store, queensland_plan):
@@ -202,7 +203,6 @@ def test_budget_exhaustion_aborts_with_history(queensland_store, queensland_plan
     diagnoses = diagnose([feedback(FeedbackClass.NO_MATCH)])
     action = remediate(queensland_plan, queensland_store.schema, history, diagnoses, max_iterations=3)
     assert action.kind is ActionKind.ABORT
-    assert action.history == tuple(history)
     assert "budget" in action.messages[0]
 
 

@@ -241,6 +241,11 @@ def test_execute_failure_skips_dependents_and_keeps_siblings(smoky_store, smoky_
     statuses = {sq.index: sq.status for sq in result.plan_after.subquestions}
     assert statuses[1] is NodeStatus.FAILED
     assert statuses[2] is NodeStatus.PENDING
+    failed, skipped = (r for r in result.lineage.records if r.kind == "node")
+    assert (failed.node_index, failed.status) == (1, "failed")
+    assert (skipped.node_index, skipped.status) == (2, "skipped")
+    assert failed.finished < skipped.started < skipped.finished
+    assert skipped.wall_ms is None  # a skipped node never ran
 
 
 def test_failure_isolation_sibling_branch_unaffected():

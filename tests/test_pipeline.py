@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from adot.adapters import ScriptedPlanner
 from adot.pipeline import Pipeline, PipelineConfig, load_config
 from adot.lineage import read_lineage, trace_answer
+from adot.plan_ir import parse_plan
 from conftest import FIXTURES, make_store
 
 OLYMPICS_QUESTION = (
@@ -309,3 +311,181 @@ def test_context_participates_in_cache_key():
     result = pipeline.answer_question(OLYMPICS_QUESTION)
     assert result.cache_strategy is None  # different context -> miss -> replanned
     assert pipeline.planner_calls == 2
+
+
+def _unknown_column_plan() -> dict:
+    doc = json.loads((FIXTURES / "queensland" / "plan.json").read_text())
+    node = doc["subquestions"][1]
+    node["question"] = node["question"].replace("document_id", "zzzzzzzz")
+    return doc
+
+
+class _SamePlanReplanner:
+    """Always proposes the same still-invalid plan, so only the budget stops the loop."""
+
+    def replan(self, plan, schema, diagnoses):
+        return parse_plan(json.dumps(_unknown_column_plan()))
+
+
+def _exit_ok():
+    return olympics_pipeline().answer_question(OLYMPICS_QUESTION)
+
+
+def _exit_no_plan_miss():
+    return olympics_pipeline().answer_question("what is the meaning of life?")
+
+
+def _exit_no_plan_no_planner():
+    return Pipeline(store=make_store("olympics")).answer_question(OLYMPICS_QUESTION)
+
+
+def _exit_unrecoverable_dataops_off():
+    from plangen import seeded_corruptions
+
+    planner = ScriptedPlanner({QLD_QUESTION: seeded_corruptions()["BadLabelFormat"]})
+    config = PipelineConfig(dataops=False, audit=False)
+    return Pipeline(store=make_store("queensland"), config=config, planner=planner).answer_question(QLD_QUESTION)
+
+
+def _exit_execution_failed_dataops_off():
+    return fixture_pipeline("smoky_mountains", TEEN_QUESTION, dataops=False).answer_question(TEEN_QUESTION)
+
+
+def _exit_execution_failed_after_abort():
+    return fixture_pipeline("smoky_mountains", TEEN_QUESTION).answer_question(TEEN_QUESTION)
+
+
+def _exit_unrecoverable_budget():
+    pipeline = Pipeline(
+        store=make_store("queensland"),
+        config=PipelineConfig(max_fix_iterations=2, audit=False),
+        planner=ScriptedPlanner({QLD_QUESTION: _unknown_column_plan()}),
+        replanner=_SamePlanReplanner(),
+    )
+    return pipeline.answer_question(QLD_QUESTION)
+
+
+ABORT_MESSAGE = "no applicable fix and the replanner offered no plan"
+BUDGET_MESSAGE = "remediation budget of 2 iterations exhausted"
+
+PINNED_EXITS = {
+    "ok": (_exit_ok, dict(
+        status="ok", final_answer="Birth year of the athlete: 1920",
+        answers=(("Birth year of the athlete", "1920"),),
+        events=["NodeCompleted", "NodeCompleted", "NodeCompleted", "PartialAnswer", "PlanCompleted"],
+        feedback=[], history=[], messages=(), plan=True,
+        lineage=[("node", "ok"), ("node", "ok"), ("node", "ok"), ("final", "ok")],
+    )),
+    "no_plan_miss": (_exit_no_plan_miss, dict(
+        status="no_plan", final_answer=None, answers=(), events=[], feedback=[], history=[],
+        messages=("no plan available for this question",), plan=False, lineage=[],
+    )),
+    "no_plan_no_planner": (_exit_no_plan_no_planner, dict(
+        status="no_plan", final_answer=None, answers=(), events=[], feedback=[], history=[],
+        messages=("no planner configured",), plan=False, lineage=[],
+    )),
+    "unrecoverable_dataops_off": (_exit_unrecoverable_dataops_off, dict(
+        status="unrecoverable", final_answer=None, answers=(), events=[], feedback=["BadLabel"],
+        history=[], messages=("node 1: label '$v1' must be '$var_1'",), plan=True, lineage=[],
+    )),
+    "execution_failed_dataops_off": (_exit_execution_failed_dataops_off, dict(
+        status="execution_failed", final_answer=None, answers=(), events=["NodeFailed", "PlanCompleted"],
+        feedback=["NoMatch"], history=[], messages=("no chunk matches the question",), plan=True,
+        lineage=[("node", "failed"), ("node", "skipped"), ("final", "failed")],
+    )),
+    "execution_failed_after_abort": (_exit_execution_failed_after_abort, dict(
+        status="execution_failed", final_answer=None, answers=(), events=["NodeFailed", "PlanCompleted"],
+        feedback=["NoMatch"], history=[(1, ("SubqueryFailure",), "abort", ABORT_MESSAGE)],
+        messages=(ABORT_MESSAGE,), plan=True,
+        lineage=[("node", "failed"), ("node", "skipped"), ("final", "failed"), ("dataops", "abort")],
+    )),
+    "unrecoverable_budget": (_exit_unrecoverable_budget, dict(
+        status="unrecoverable", final_answer=None, answers=(), events=[], feedback=["UnknownColumn"],
+        history=[
+            (1, ("SchemaDrift",), "replan", "replanned"),
+            (2, ("SchemaDrift",), "replan", "replanned"),
+            (3, ("SchemaDrift",), "abort", BUDGET_MESSAGE),
+        ],
+        messages=(BUDGET_MESSAGE,), plan=True,
+        lineage=[("dataops", "replan"), ("dataops", "replan"), ("dataops", "abort")],
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXITS))
+def test_every_exit_keeps_its_result_fields(name):
+    run, expected = PINNED_EXITS[name]
+    result = run()
+    assert dict(
+        status=result.status,
+        final_answer=result.final_answer,
+        answers=result.answers,
+        events=[e.kind.value for e in result.events],
+        feedback=[getattr(f, "code", None) or f.error_class for f in result.feedback],
+        history=[(h.iteration, h.diagnosis_classes, h.action_kind, h.delta_summary) for h in result.history],
+        messages=result.messages,
+        plan=result.plan is not None,
+        lineage=[(r.kind, r.status) for r in result.lineage.records],
+    ) == expected
+    assert result.cache_strategy is None and result.lineage_path is None
+
+
+def test_lineage_file_closed_when_the_planner_raises(tmp_path, monkeypatch):
+    import adot.pipeline as pipeline_module
+    from adot.lineage import LineageLog
+    from adot.plan_ir import ParseError
+
+    opened = []
+
+    class RecordingLog(LineageLog):
+        def __init__(self, path=None):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(pipeline_module, "LineageLog", RecordingLog)
+    pipeline = Pipeline(
+        store=make_store("olympics"),
+        config=PipelineConfig(lineage_path=str(tmp_path / "l.jsonl")),
+        planner=ScriptedPlanner({"q": "{not json"}),
+    )
+    with pytest.raises(ParseError):
+        pipeline.answer_question("q")
+    (log,) = opened
+    assert log._fh is None
+
+
+ENV_SAMPLES = {
+    "store_dir": ("/data/store", "/data/store"),
+    "cache_capacity": ("7", 7),
+    "tau": ("0.5", 0.5),
+    "alpha": ("0.25", 0.25),
+    "top_k": ("3", 3),
+    "max_parallel": ("2", 2),
+    "max_fix_iterations": ("1", 1),
+    "node_timeout": ("1.5", 1.5),
+    "inline_threshold": ("10", 10),
+    "slimming": ("off", False),
+    "planner": ("scripted:script.json", "scripted:script.json"),
+    "replanner": ("external:cat", "external:cat"),
+    "context_role": ("analyst", "analyst"),
+    "policy_flags": ("pii,audit", ("pii", "audit")),
+    "dataops": ("false", False),
+    "audit": ("0", False),
+    "cache_enabled": ("no", False),
+    "cache_file": ("cache.json", "cache.json"),
+    "lineage_path": ("lineage.jsonl", "lineage.jsonl"),
+}
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(PipelineConfig), ids=lambda f: f.name)
+def test_every_config_field_round_trips_through_env(f):
+    raw, expected = ENV_SAMPLES[f.name]
+    config = load_config(env={f"ADOT_{f.name.upper()}": raw})
+    assert getattr(config, f.name) == expected
+
+
+def test_env_bad_value_names_the_variable():
+    for key, raw in (("ADOT_TOP_K", "abc"), ("ADOT_TAU", "high"), ("ADOT_AUDIT", "maybe")):
+        with pytest.raises(ValueError, match=key):
+            load_config(env={key: raw})
+    assert load_config(env={"ADOT_AUDIT": "ON"}).audit is True
