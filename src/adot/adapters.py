@@ -322,11 +322,14 @@ class ScriptedPlanner:
         return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def generate(self, question: str) -> Plan:
-        """Look up a plan by normalized question text."""
+        """The plan scripted for the normalized question; a missing or unparsable one is a :class:`PlannerMissError`."""
         entry = self._script.get(normalize_query(question))
         if entry is None:
             raise PlannerMissError(question)
-        return parse_plan(entry if isinstance(entry, str) else json.dumps(entry))
+        try:
+            return parse_plan(entry if isinstance(entry, str) else json.dumps(entry))
+        except ParseError as exc:
+            raise PlannerMissError(f"scripted plan is not a plan: {exc}") from exc
 
 
 class ExternalPlanner:

@@ -35,7 +35,7 @@ class Store:
         return signature_of(self.schema)
 
     def chunks_for_document(self, document_id: int) -> list[Chunk]:
-        return [c for c in self.index.chunks if c.document_id == document_id]
+        return self.index.chunks_for_document(document_id)
 
     def rows_for_document(self, document_id: int) -> list[tuple[str, int]]:
         """(table, row_id) pairs reachable from a document via cross-links."""
@@ -72,7 +72,7 @@ def save_store(store: Store, out_dir: str | Path) -> None:
                         "document_id": c.document_id,
                         "text": c.text,
                         "dense": list(c.dense_vec),
-                        "sparse": dict(c.sparse_vec),
+                        "sparse": dict(c.sparse_vec.items()),
                         "metadata": dict(c.metadata),
                     }
                 )

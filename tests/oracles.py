@@ -189,6 +189,78 @@ def rank_chunks(
     return scored[:k]
 
 
+class ScalarSearch:
+    """Frozen copy of the scalar ``VectorIndex.search`` loop, kept as its differential oracle.
+
+    It scores every candidate chunk with ``cosine`` of the dense vectors
+    and the dot product of the sparse maps, fuses them, and sorts by
+    ``(-fused, chunk_id)`` (a stable sort, so equal keys keep insertion
+    order). The query is embedded with the sha256-per-token loop that the
+    reference embedder used before its buckets were memoized. Returns
+    ``[(chunk, dense, sparse, fused)]``; scores must match the index's
+    exactly, not approximately.
+    """
+
+    def __init__(self, dim: int, alpha: float, stopwords: frozenset):
+        self.dim = dim
+        self.alpha = alpha
+        self.stopwords = stopwords
+
+    def tokens(self, text: str) -> list[str]:
+        return [t for t in re.findall(r"[a-z0-9_]+", text.lower()) if t not in self.stopwords]
+
+    def embed(self, text: str) -> np.ndarray:
+        vec = np.zeros(self.dim, dtype=np.float64)
+        for token in self.tokens(text):
+            vec[int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:4], "big") % self.dim] += 1.0
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+        return vec
+
+    def sparse(self, text: str) -> dict[str, float]:
+        counts: dict[str, float] = {}
+        for token in self.tokens(text):
+            counts[token] = counts.get(token, 0.0) + 1.0
+        norm = sum(w * w for w in counts.values()) ** 0.5
+        if norm > 0:
+            counts = {t: w / norm for t, w in counts.items()}
+        return counts
+
+    @staticmethod
+    def cosine(a: np.ndarray, b: np.ndarray) -> float:
+        na = np.linalg.norm(a)
+        nb = np.linalg.norm(b)
+        if na == 0 or nb == 0:
+            return 0.0
+        return float(np.dot(a, b) / (na * nb))
+
+    @staticmethod
+    def sparse_dot(a, b) -> float:
+        if len(b) < len(a):
+            a, b = b, a
+        return float(sum(w * b[t] for t, w in a.items() if t in b))
+
+    def search(self, chunks, query_text: str, k: int, doc_filter=None) -> list[tuple]:
+        if doc_filter is None:
+            candidates = list(chunks)
+        else:
+            allowed = set(doc_filter)
+            candidates = [c for c in chunks if c.document_id in allowed]
+        if not candidates:
+            return []
+        q_dense = self.embed(query_text)
+        q_sparse = self.sparse(query_text)
+        hits = []
+        for chunk in candidates:
+            dense = self.cosine(q_dense, chunk.dense_vec)
+            sparse = self.sparse_dot(q_sparse, chunk.sparse_vec)
+            fused = self.alpha * dense + (1.0 - self.alpha) * sparse
+            hits.append((chunk, dense, sparse, fused))
+        hits.sort(key=lambda h: (-h[3], h[0].chunk_id))
+        return hits[:k]
+
+
 def all_digraph_masks_have_cycle(n: int, include_self_loops: bool) -> np.ndarray:
     """Cycle verdict for every labeled digraph on n nodes, vectorized.
 

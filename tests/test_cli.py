@@ -163,6 +163,20 @@ def test_ask_external_planner_failure_exits_no_plan(store_dir, capsys):
     assert "status: no_plan" in err and "Traceback" not in err
 
 
+def test_ask_scripted_entry_that_is_not_a_plan_exits_no_plan(store_dir, tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"any question?": "{not json"}), encoding="utf-8")
+    code = main([
+        "ask",
+        "--question", "any question?",
+        "--store", str(store_dir),
+        "--planner", f"scripted:{script}",
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "status: no_plan" in err and "Traceback" not in err
+
+
 def test_ask_sequential_flag(store_dir, capsys):
     question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
     code = main([

@@ -433,7 +433,6 @@ def test_every_exit_keeps_its_result_fields(name):
 def test_lineage_file_closed_when_the_planner_raises(tmp_path, monkeypatch):
     import adot.pipeline as pipeline_module
     from adot.lineage import LineageLog
-    from adot.plan_ir import ParseError
 
     opened = []
 
@@ -442,13 +441,17 @@ def test_lineage_file_closed_when_the_planner_raises(tmp_path, monkeypatch):
             super().__init__(path)
             opened.append(self)
 
+    class FailingPlanner:
+        def generate(self, question):
+            raise RuntimeError("planner crashed")
+
     monkeypatch.setattr(pipeline_module, "LineageLog", RecordingLog)
     pipeline = Pipeline(
         store=make_store("olympics"),
         config=PipelineConfig(lineage_path=str(tmp_path / "l.jsonl")),
-        planner=ScriptedPlanner({"q": "{not json"}),
+        planner=FailingPlanner(),
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(RuntimeError):
         pipeline.answer_question("q")
     (log,) = opened
     assert log._fh is None

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from random import Random
 
 import numpy as np
@@ -28,15 +30,19 @@ from adot.stores.schema import (
     TableSchema,
     signature_of,
 )
-from adot.stores.store import load_store, save_store
+from adot.stores import vector as vector_module
+from adot.stores.store import Store, load_store, save_store
 from adot.stores.vector import (
     STOPWORDS,
+    Chunk,
     EmptyIndexError,
+    HashedBowEmbedder,
     VectorIndex,
     cosine,
     embed,
+    sparse_vector,
 )
-from oracles import bow_cosine, bow_embed, naive_aggregate, naive_exec, rank_chunks
+from oracles import ScalarSearch, bow_cosine, bow_embed, naive_aggregate, naive_exec, rank_chunks
 
 # --- schema signature -------------------------------------------------------
 
@@ -407,6 +413,202 @@ def test_alpha_fusion_weight():
     index2.add_text(0, 1, "alpha beta")
     hit2 = index2.search("alpha beta", k=1)[0]
     assert hit2.fused_score == pytest.approx(hit2.sparse_score)
+
+
+_DIFF_WORDS = [
+    "engine", "payment", "invoice", "race", "venue", "violin", "biology", "charity",
+    "quarter", "metres", "title", "club", "trophy", "stadium", "ledger", "terms",
+]
+
+
+def _hit_tuples(hits):
+    return [(id(h.chunk), h.dense_score, h.sparse_score, h.fused_score) for h in hits]
+
+
+def _oracle_tuples(hits):
+    return [(id(chunk), dense, sparse, fused) for chunk, dense, sparse, fused in hits]
+
+
+def _random_query(rng: Random, index: VectorIndex) -> str:
+    kind = rng.randrange(6)
+    if kind == 0:
+        return "the of and what"  # stopwords only
+    if kind == 1:
+        return "zyzzyva quokka"  # shares no token with any chunk
+    if kind == 2:
+        return rng.choice(index.chunks).text  # ties with every duplicate of that text
+    return " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 5)))
+
+
+def _assert_matches_scalar_loop(index: VectorIndex, oracle: ScalarSearch, rng: Random, doc_ids: int) -> None:
+    query = _random_query(rng, index)
+    k = rng.choice([1, 2, 3, 5, len(index) + 3])
+    kind = rng.randrange(4)
+    if kind == 0:
+        docs = None
+    elif kind == 1:
+        docs = []
+    else:  # may name unknown documents, and repeat some
+        docs = [rng.randrange(doc_ids + 3) for _ in range(rng.randint(1, 6))]
+    as_generator = docs is not None and rng.random() < 0.5
+
+    def doc_filter():
+        return None if docs is None else ((d for d in docs) if as_generator else set(docs))
+
+    got = index.search(query, k=k, doc_filter=doc_filter())
+    want = oracle.search(index.chunks, query, k, doc_filter())
+    assert _hit_tuples(got) == _oracle_tuples(want), (query, k, docs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_search_matches_frozen_scalar_loop_on_random_indexes(seed):
+    rng = Random(seed)
+    dim = rng.choice([16, 256])
+    alpha = rng.choice([0.0, 0.3, 0.5, 1.0])
+    index = VectorIndex(dim=dim, alpha=alpha)
+    oracle = ScalarSearch(dim, alpha, STOPWORDS)
+    n = rng.randint(1, 150)
+    doc_ids = rng.randint(1, 12)
+    chunk_ids = rng.sample(range(3 * n), n)  # out of insertion order
+    chunk_ids = [rng.choice(chunk_ids[:i]) if i and rng.random() < 0.05 else c for i, c in enumerate(chunk_ids)]
+    texts: list[str] = []
+    for cid in chunk_ids:  # a repeated chunk id ties on both keys: insertion order decides
+        if texts and rng.random() < 0.2:
+            text = rng.choice(texts)  # exact duplicate: ties broken by chunk_id
+        else:
+            text = " ".join(rng.choice(_DIFF_WORDS + ["the", "of"]) for _ in range(rng.randint(0, 12)))
+        texts.append(text)
+        index.add_text(cid, rng.randrange(doc_ids), text)
+    for _ in range(40):
+        _assert_matches_scalar_loop(index, oracle, rng, doc_ids)
+
+
+def test_search_matches_frozen_scalar_loop_across_a_block_boundary():
+    rng = Random(7)
+    index = VectorIndex()
+    oracle = ScalarSearch(index.dim, index.alpha, STOPWORDS)
+    boundary = 3 * vector_module._BLOCK_ROWS  # row of the first chunk in the fourth block
+    for cid in range(boundary - 6):
+        index.add_text(cid, cid % 40, " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 9))))
+    for cid in range(boundary - 6, boundary + 8):
+        index.add_text(cid, rng.randrange(45), " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 9))))
+        for _ in range(3):
+            _assert_matches_scalar_loop(index, oracle, rng, 45)
+    assert len(index._blocks) == 4
+
+
+def test_search_during_adds_sees_a_prefix_of_the_index():
+    rng = Random(3)
+    texts = [" ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 8))) for _ in range(400)]
+    index = VectorIndex()
+    for cid, text in enumerate(texts[:20]):
+        index.add_text(cid, cid % 9, text)
+    oracle = ScalarSearch(index.dim, index.alpha, STOPWORDS)
+    seen, errors = [], []
+
+    def writer():
+        for cid in range(20, len(texts)):
+            index.add_text(cid, cid % 9, texts[cid])
+
+    def reader(seed):
+        r = Random(seed)
+        try:
+            for _ in range(40):
+                query, docs = " ".join(r.sample(_DIFF_WORDS, 3)), r.choice([None, {1, 4}])
+                before = len(index)
+                hits = index.search(query, k=4, doc_filter=docs)
+                seen.append((query, docs, before, len(index), _hit_tuples(hits)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer)] + [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for query, docs, before, after, got in seen:  # the result over some prefix the search could have read
+        assert any(
+            got == _oracle_tuples(oracle.search(index.chunks[:m], query, 4, docs)) for m in range(before, after + 1)
+        ), (query, docs, before, after)
+
+
+def test_search_matches_frozen_scalar_loop_with_signed_weights():
+    rng = Random(11)
+    index = VectorIndex(dim=16)
+    oracle = ScalarSearch(16, index.alpha, STOPWORDS)
+    for cid in range(60):
+        text = " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 6)))
+        dense = index.embedder.embed(text)
+        if cid % 3 == 0:  # a model embedder may produce negative components
+            dense = dense - 0.1
+        index.add(Chunk(cid, cid % 7, text, dense, sparse_vector(text)))
+    for _ in range(60):
+        _assert_matches_scalar_loop(index, oracle, rng, 7)
+
+
+def test_chunks_for_document_reads_the_document_map(queensland_store):
+    chunks = queensland_store.index.chunks
+    for document_id in {c.document_id for c in chunks} | {-1}:
+        assert queensland_store.chunks_for_document(document_id) == [
+            c for c in chunks if c.document_id == document_id
+        ]
+
+
+def test_dense_vec_is_bow_embed_and_stored_once():
+    index = VectorIndex()
+    texts = ["net 30 days from receipt of invoice", "", "the of and", "race race venue"]
+    for cid, text in enumerate(texts):
+        chunk = index.add_text(cid, 0, text)
+        assert chunk.dense_vec.tolist() == bow_embed(text, 256, STOPWORDS)
+        assert not chunk.dense_vec.flags.owndata and not chunk.dense_vec.flags.writeable
+    assert len({id(c.dense_vec.base) for c in index.chunks}) == 1  # one block holds every row
+
+
+def test_indexed_sparse_vec_keeps_the_sparse_vector_map():
+    oracle = ScalarSearch(256, 0.5, STOPWORDS)
+    index = VectorIndex()
+    for cid, text in enumerate(["payment terms payment", "", "the of", "Net 30 DAYS, net 60.", "terms ledger"]):
+        want = oracle.sparse(text)
+        assert list(sparse_vector(text).items()) == list(want.items())
+        chunk = index.add_text(cid, 0, text)
+        assert list(chunk.sparse_vec.items()) == list(want.items()) and len(chunk.sparse_vec) == len(want)
+        assert [chunk.sparse_vec[t] for t in want] == list(want.values())
+        assert chunk.sparse_vec.get("ledger", -1.0) == want.get("ledger", -1.0)
+        with pytest.raises(KeyError):
+            chunk.sparse_vec["zyzzyva"]
+
+
+def test_embed_with_memoized_buckets_matches_the_sha256_loop(monkeypatch):
+    monkeypatch.setattr(vector_module, "_BUCKET_MEMO_SIZE", 3)
+    embedder = HashedBowEmbedder(64)
+    oracle = ScalarSearch(64, 0.5, STOPWORDS)
+    for text in ["alpha beta alpha", "", "gamma", "alpha beta alpha", "delta epsilon zeta eta theta"]:
+        assert embedder.embed(text).tolist() == oracle.embed(text).tolist()
+        assert len(embedder._buckets) <= 3  # the memo starts over when full
+
+
+def test_search_identical_after_save_and_load(tmp_path):
+    rng = Random(5)
+    index = VectorIndex(alpha=0.3)
+    for cid in rng.sample(range(100), 40):
+        index.add_text(cid, cid % 6, " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(0, 8))))
+    store = Store(schema=GlobalSchema(tables=(), collections=()), index=index)
+    save_store(store, tmp_path / "store")
+    loaded = load_store(tmp_path / "store").index
+    assert loaded.alpha == index.alpha
+    for c, d in zip(index.chunks, loaded.chunks):
+        assert (c, c.dense_vec.tolist(), list(c.sparse_vec.items())) == (d, d.dense_vec.tolist(), list(d.sparse_vec.items()))
+    for _ in range(30):
+        query = _random_query(rng, index)
+        docs = rng.choice([None, {0, 2}, {9}])
+        strip = lambda hits: [(h.chunk.chunk_id, h.dense_score, h.sparse_score, h.fused_score) for h in hits]
+        assert strip(loaded.search(query, 4, docs)) == strip(index.search(query, 4, docs))
 
 
 # --- chunking -----------------------------------------------------------------
