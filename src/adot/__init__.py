@@ -26,7 +26,6 @@ from .cache import (
     CacheHit,
     CacheKey,
     PlanCache,
-    SlotSpec,
     build_template,
     instantiate_skeleton,
     normalize_query,

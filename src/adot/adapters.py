@@ -332,6 +332,27 @@ class ScriptedPlanner:
             raise PlannerMissError(f"scripted plan is not a plan: {exc}") from exc
 
 
+class ExternalCommandError(RuntimeError):
+    """An external command that could not be run, timed out or exited non-zero."""
+
+
+def run_command(command: str, stdin: str, timeout: float) -> str:
+    """Run ``command`` (split like a shell would) on ``stdin`` and return its stdout."""
+    try:
+        proc = subprocess.run(
+            shlex.split(command),
+            input=stdin,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+    except (OSError, ValueError, subprocess.TimeoutExpired) as exc:  # ValueError: unbalanced quotes
+        raise ExternalCommandError(str(exc)) from exc
+    if proc.returncode != 0:
+        raise ExternalCommandError(f"exited {proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout
+
+
 class ExternalPlanner:
     """Planner that pipes the question to a command and reads plan JSON."""
 
@@ -342,18 +363,10 @@ class ExternalPlanner:
     def generate(self, question: str) -> Plan:
         """The command's plan; any failure to get one is a :class:`PlannerMissError`."""
         try:
-            proc = subprocess.run(
-                shlex.split(self.command),
-                input=question,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except (OSError, ValueError, subprocess.TimeoutExpired) as exc:  # ValueError: unbalanced quotes
+            stdout = run_command(self.command, question, self.timeout)
+        except ExternalCommandError as exc:
             raise PlannerMissError(f"external planner failed: {exc}") from exc
-        if proc.returncode != 0:
-            raise PlannerMissError(f"external planner failed: {proc.stderr.strip()}")
         try:
-            return parse_plan(proc.stdout)
+            return parse_plan(stdout)
         except ParseError as exc:
             raise PlannerMissError(f"external planner printed no plan: {exc}") from exc

@@ -5,8 +5,11 @@ hits win over template hits, which win over semantic hits; every hit
 refreshes recency. A hit hands back a plan that still must go through
 validation; the cache itself never guarantees executability.
 
-Recency is a monotonic counter rather than wall-clock so eviction order is
-deterministic under test.
+Recency is the order of one dict, least recent first: a hit or a re-insert
+moves its key to the end, and eviction drops the first key. When two entries
+match a query equally well, the most recently used one wins. The cache file
+holds only the stats and each entry's kind, key and plan, least recent first;
+embeddings are recomputed on load, and capacity and tau come from the caller.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -54,29 +57,22 @@ class CacheKey:
 
 
 @dataclass(frozen=True)
-class SlotSpec:
-    name: str
-    type: str
-
-
-@dataclass
 class CacheEntry:
     kind: str  # concrete | template
     key: CacheKey
-    plan: Plan | None = None  # concrete
-    skeleton: Plan | None = None  # template: node questions carry {name}
-    slots: tuple[SlotSpec, ...] = ()
-    provenance_summary: str = ""
-    last_used: int = 0
-    created: int = 0
-    embedding: np.ndarray | None = None
+    plan: Plan  # a template's node questions carry {name}
+    embedding: np.ndarray | None = field(default=None, repr=False, compare=False)  # concrete, never saved
+
+    @property
+    def provenance_summary(self) -> str:
+        label = "from query" if self.kind == "concrete" else "template"
+        return f"{label}: {self.key.normalized_query!r}"
 
 
 @dataclass(frozen=True)
 class CacheHit:
     plan: Plan
     strategy: str  # exact | template | semantic
-    entry: CacheEntry
 
 
 @dataclass
@@ -90,15 +86,6 @@ class CacheStats:
 
     def to_json(self) -> dict[str, int]:
         return dict(self.__dict__)
-
-
-def _template_slots(template_text: str) -> tuple[SlotSpec, ...]:
-    slots = []
-    for token in template_text.split(" "):
-        m = _SLOT_TOKEN_RE.match(token)
-        if m:
-            slots.append(SlotSpec(name=m.group(1), type=m.group(2)))
-    return tuple(slots)
 
 
 def _match_template(template_text: str, query_text: str) -> dict[str, str] | None:
@@ -178,111 +165,80 @@ class PlanCache:
         self.tau = tau
         self.embedder = embedder or HashedBowEmbedder()
         self.stats = CacheStats()
-        self._entries: dict[CacheKey, CacheEntry] = {}
-        self._counter = 0
+        self._entries: dict[CacheKey, CacheEntry] = {}  # least recently used first
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _next(self) -> int:
-        self._counter += 1
-        return self._counter
-
-    def _touch(self, entry: CacheEntry) -> None:
-        entry.last_used = self._next()
+    def _touch(self, key: CacheKey) -> None:
+        self._entries[key] = self._entries.pop(key)
 
     def lookup(self, query: str, schema_signature: str, context: Context) -> CacheHit | None:
+        """Exact, then template, then semantic; ties go to the most recently used entry."""
         nq = normalize_query(query)
         key = CacheKey(nq, schema_signature, context.fingerprint())
+        scope = (schema_signature, key.context_fingerprint)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None and entry.kind == "concrete":
-                self._touch(entry)
+                self._touch(key)
                 self.stats.hits_exact += 1
-                return CacheHit(plan=entry.plan, strategy="exact", entry=entry)
+                return CacheHit(plan=entry.plan, strategy="exact")
 
-            for entry in self._entries.values():
-                if entry.kind != "template":
-                    continue
-                if (entry.key.schema_signature, entry.key.context_fingerprint) != (
-                    key.schema_signature,
-                    key.context_fingerprint,
-                ):
+            for entry in reversed(self._entries.values()):
+                if entry.kind != "template" or (entry.key.schema_signature, entry.key.context_fingerprint) != scope:
                     continue
                 captured = _match_template(entry.key.normalized_query, nq)
                 if captured is not None:
-                    self._touch(entry)
+                    self._touch(entry.key)
                     self.stats.hits_template += 1
-                    plan = instantiate_skeleton(entry.skeleton, captured)
-                    return CacheHit(plan=plan, strategy="template", entry=entry)
+                    return CacheHit(plan=instantiate_skeleton(entry.plan, captured), strategy="template")
 
             q_vec = self.embedder.embed(nq)
             best: CacheEntry | None = None
             best_sim = -1.0
-            for entry in self._entries.values():
-                if entry.kind != "concrete" or entry.embedding is None:
-                    continue
-                if (entry.key.schema_signature, entry.key.context_fingerprint) != (
-                    key.schema_signature,
-                    key.context_fingerprint,
-                ):
+            for entry in reversed(self._entries.values()):
+                if entry.kind != "concrete" or (entry.key.schema_signature, entry.key.context_fingerprint) != scope:
                     continue
                 sim = cosine(q_vec, entry.embedding)
                 if sim > best_sim:
                     best, best_sim = entry, sim
             if best is not None and best_sim >= self.tau:
-                self._touch(best)
+                self._touch(best.key)
                 self.stats.hits_semantic += 1
-                return CacheHit(plan=best.plan, strategy="semantic", entry=best)
+                return CacheHit(plan=best.plan, strategy="semantic")
 
             self.stats.misses += 1
             return None
 
     def insert(self, query: str, schema_signature: str, context: Context, plan: Plan) -> CacheEntry:
         """Insert/replace a concrete entry, evicting LRU on overflow."""
-        nq = normalize_query(query)
-        key = CacheKey(nq, schema_signature, context.fingerprint())
-        entry = CacheEntry(
-            kind="concrete",
-            key=key,
-            plan=plan,
-            provenance_summary=f"from query: {nq!r}",
-            embedding=self.embedder.embed(nq),
-        )
-        return self._store(key, entry)
+        key = CacheKey(normalize_query(query), schema_signature, context.fingerprint())
+        return self._store(self._entry("concrete", key, plan))
 
     def insert_template(
-        self,
-        template_text: str,
-        schema_signature: str,
-        context: Context,
-        skeleton: Plan,
-        slots: Iterable[SlotSpec] | None = None,
+        self, template_text: str, schema_signature: str, context: Context, skeleton: Plan
     ) -> CacheEntry:
         """Insert a parameterized template entry (>=1 slot required)."""
-        slot_tuple = tuple(slots) if slots is not None else _template_slots(template_text)
-        if not slot_tuple:
-            raise ValueError("template entries need at least one slot")
         key = CacheKey(template_text, schema_signature, context.fingerprint())
-        entry = CacheEntry(
-            kind="template",
-            key=key,
-            skeleton=skeleton,
-            slots=slot_tuple,
-            provenance_summary=f"template: {template_text!r}",
-        )
-        return self._store(key, entry)
+        return self._store(self._entry("template", key, skeleton))
 
-    def _store(self, key: CacheKey, entry: CacheEntry) -> CacheEntry:
+    def _entry(self, kind: str, key: CacheKey, plan: Plan) -> CacheEntry:
+        if kind == "concrete":
+            return CacheEntry(kind, key, plan, self.embedder.embed(key.normalized_query))
+        if kind != "template":
+            raise ValueError(f"unknown entry kind {kind!r}")
+        if not any(_SLOT_TOKEN_RE.match(token) for token in key.normalized_query.split(" ")):
+            raise ValueError("template entries need at least one slot")
+        return CacheEntry(kind, key, plan)
+
+    def _store(self, entry: CacheEntry) -> CacheEntry:
         with self._lock:
-            if key not in self._entries and len(self._entries) >= self.capacity:
-                victim = min(self._entries.values(), key=lambda e: e.last_used)
-                del self._entries[victim.key]
+            if self._entries.pop(entry.key, None) is None and len(self._entries) >= self.capacity:
+                del self._entries[next(iter(self._entries))]
                 self.stats.evictions += 1
-            entry.created = self._next()
-            entry.last_used = entry.created
-            self._entries[key] = entry
+            self._entries[entry.key] = entry
             self.stats.insertions += 1
             return entry
 
@@ -291,6 +247,7 @@ class PlanCache:
             self._entries.clear()
 
     def entries(self) -> list[CacheEntry]:
+        """Every entry, least recently used first."""
         with self._lock:
             return list(self._entries.values())
 
@@ -301,22 +258,9 @@ class PlanCache:
         over ``path``: a crash mid-save leaves the previous file whole."""
         with self._lock:
             doc = {
-                "capacity": self.capacity,
-                "tau": self.tau,
-                "counter": self._counter,
                 "stats": self.stats.to_json(),
                 "entries": [
-                    {
-                        "kind": e.kind,
-                        "key": e.key.__dict__,
-                        "plan": plan_to_json(e.plan) if e.plan is not None else None,
-                        "skeleton": plan_to_json(e.skeleton) if e.skeleton is not None else None,
-                        "slots": [s.__dict__ for s in e.slots],
-                        "provenance_summary": e.provenance_summary,
-                        "last_used": e.last_used,
-                        "created": e.created,
-                        "embedding": list(e.embedding) if e.embedding is not None else None,
-                    }
+                    {"kind": e.kind, "key": e.key.__dict__, "plan": plan_to_json(e.plan)}
                     for e in self._entries.values()
                 ],
             }
@@ -330,33 +274,29 @@ class PlanCache:
             raise
 
     @classmethod
-    def load(cls, path: str | Path, embedder: HashedBowEmbedder | None = None) -> "PlanCache":
-        """Read a saved cache; raises :class:`CacheFileError` if ``path`` holds none."""
+    def load(
+        cls,
+        path: str | Path,
+        capacity: int = 128,
+        tau: float = DEFAULT_TAU,
+        embedder: HashedBowEmbedder | None = None,
+    ) -> "PlanCache":
+        """Read a saved cache, keeping its ``capacity`` most recent entries.
+
+        Raises :class:`CacheFileError` if ``path`` holds no plan cache. Files
+        of the earlier format still load: their recency is read from each
+        entry's ``last_used``, a template's plan from ``skeleton``, and their
+        other fields are ignored.
+        """
+        cache = cls(capacity=capacity, tau=tau, embedder=embedder)
         try:
-            return cls._from_doc(json.loads(Path(path).read_text(encoding="utf-8")), embedder)
-        except (ValueError, KeyError, TypeError) as exc:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            cache.stats = CacheStats(**doc["stats"])
+            items = sorted(doc["entries"], key=lambda item: item.get("last_used", 0))
+            for item in items[-capacity:]:
+                plan = item["plan"] if item["plan"] is not None else item["skeleton"]
+                entry = cache._entry(item["kind"], CacheKey(**item["key"]), parse_plan(json.dumps(plan)))
+                cache._entries[entry.key] = entry
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CacheFileError(f"{path}: not a plan cache file: {exc}") from exc
-
-    @classmethod
-    def _from_doc(cls, doc: dict, embedder: HashedBowEmbedder | None) -> "PlanCache":
-        cache = cls(capacity=doc["capacity"], tau=doc["tau"], embedder=embedder)
-        cache._counter = doc["counter"]
-        cache.stats = CacheStats(**doc["stats"])
-        for item in doc["entries"]:
-            key = CacheKey(**item["key"])
-            entry = CacheEntry(
-                kind=item["kind"],
-                key=key,
-                plan=parse_plan(json.dumps(item["plan"])) if item["plan"] is not None else None,
-                skeleton=parse_plan(json.dumps(item["skeleton"])) if item["skeleton"] is not None else None,
-                slots=tuple(SlotSpec(**s) for s in item["slots"]),
-                provenance_summary=item["provenance_summary"],
-                last_used=item["last_used"],
-                created=item["created"],
-                embedding=np.array(item["embedding"], dtype=np.float64)
-                if item["embedding"] is not None
-                else None,
-            )
-            cache._entries[key] = entry
         return cache
-

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .adapters import ScriptedPlanner
-from .cache import PlanCache
+from .cache import CacheFileError, PlanCache
 from .lineage import trace_answer
 from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
 from .plan_ir import parse_plan
@@ -119,7 +119,15 @@ def _cmd_ask(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     path = Path(args.cache_file)
-    cache = PlanCache.load(path) if path.exists() else PlanCache()
+    config = load_config()
+    cache = PlanCache(capacity=config.cache_capacity, tau=config.tau)
+    if path.exists():
+        try:
+            cache = PlanCache.load(path, capacity=cache.capacity, tau=cache.tau)
+        except CacheFileError as exc:
+            if args.action == "stats":
+                print(f"cache stats failed: {exc}", file=sys.stderr)
+                return 1
     if args.action == "stats":
         stats = cache.stats.to_json()
         stats.update(

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import logging
-import shlex
-import subprocess
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Protocol, Sequence
 
+from .adapters import ExternalCommandError, run_command
 from .executor import ExecutionFeedback, FeedbackClass
 from .plan_ir import Plan, Tool, extract_var_refs, parse_plan, serialize_plan
 from .stores.schema import GlobalSchema
@@ -264,21 +263,12 @@ class ExternalReplanner:
             }
         )
         try:
-            proc = subprocess.run(
-                shlex.split(self.command),
-                input=payload,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except (OSError, ValueError, subprocess.TimeoutExpired) as exc:  # ValueError: unbalanced quotes
+            stdout = run_command(self.command, payload, self.timeout)
+        except ExternalCommandError as exc:
             logger.warning("external replanner failed: %s", exc)
             return None
-        if proc.returncode != 0:
-            logger.warning("external replanner exited %d: %s", proc.returncode, proc.stderr.strip())
-            return None
         try:
-            return parse_plan(proc.stdout)
+            return parse_plan(stdout)
         except Exception:
             logger.warning("external replanner produced unparseable plan")
             return None

@@ -222,7 +222,9 @@ class Pipeline:
         self.cache = cache
         if cache is None and self.config.cache_file and Path(self.config.cache_file).exists():
             try:
-                self.cache = PlanCache.load(self.config.cache_file)
+                self.cache = PlanCache.load(
+                    self.config.cache_file, capacity=self.config.cache_capacity, tau=self.config.tau
+                )
             except CacheFileError as exc:
                 logger.warning("starting with an empty plan cache: %s", exc)
         if self.cache is None:

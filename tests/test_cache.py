@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from adot.cache import PlanCache, build_template, normalize_query
+from adot.cache import CacheFileError, PlanCache, build_template, normalize_query
 from adot.plan_ir import Context
 from adot.stores.vector import STOPWORDS
 from oracles import bow_cosine, bow_embed
@@ -136,7 +136,7 @@ def test_exact_precedence_over_template_and_semantic():
 # --- semantic strategy ------------------------------------------------------------
 
 
-def test_semantic_hit_and_miss_match_brute_force_oracle():
+def test_semantic_hit_and_miss_match_brute_force_oracle(tmp_path):
     rng = Random(202)
     cache = PlanCache(capacity=64, tau=0.85)
     stored = [
@@ -147,6 +147,8 @@ def test_semantic_hit_and_miss_match_brute_force_oracle():
     ]
     for q in stored:
         cache.insert(q, SIG_A, CTX, simple_plan(q))
+    cache.save(tmp_path / "cache.json")
+    caches = (cache, PlanCache.load(tmp_path / "cache.json", capacity=64, tau=0.85))
     pool = "today ranking ledger sprint deadline quarterly festival".split()
     checked_hit = checked_miss = 0
     for _ in range(200):
@@ -165,13 +167,14 @@ def test_semantic_hit_and_miss_match_brute_force_oracle():
             bow_cosine(bow_embed(nq, 256, STOPWORDS), bow_embed(normalize_query(s), 256, STOPWORDS))
             for s in stored
         )
-        hit = cache.lookup(query, SIG_A, CTX)
+        hits = [c.lookup(query, SIG_A, CTX) for c in caches]  # live, then saved and reloaded
         if best >= 0.85:
             checked_hit += 1
-            assert hit is not None and hit.strategy == "semantic", (query, best)
+            assert all(hit is not None and hit.strategy == "semantic" for hit in hits), (query, best)
+            assert hits[0].plan == hits[1].plan
         else:
             checked_miss += 1
-            assert hit is None, (query, best)
+            assert hits == [None, None], (query, best)
     assert checked_hit > 5 and checked_miss > 5
 
 
@@ -182,6 +185,31 @@ def test_semantic_respects_tau():
     low = PlanCache(capacity=4, tau=0.5)
     low.insert("alpha beta gamma", SIG_A, CTX, simple_plan())
     assert low.lookup("alpha beta gamma delta", SIG_A, CTX) is not None
+
+
+def test_semantic_tie_goes_to_the_most_recently_used_entry():
+    cache = PlanCache(capacity=4)
+    cache.insert("alpha beta gamma delta", SIG_A, CTX, simple_plan("first"))
+    cache.insert("delta gamma beta alpha", SIG_A, CTX, simple_plan("second"))
+
+    def winner():
+        hit = cache.lookup("beta alpha delta gamma", SIG_A, CTX)
+        assert hit.strategy == "semantic"
+        return hit.plan.subquestions[0].question
+
+    assert winner() == "second"
+    cache.lookup("alpha beta gamma delta", SIG_A, CTX)  # exact hit refreshes the first
+    assert winner() == "first"
+
+
+def test_template_tie_goes_to_the_most_recently_used_entry():
+    cache = PlanCache(capacity=4)
+    cache.insert_template("count rows above {n:number}", SIG_A, CTX, simple_plan("number {n}"))
+    cache.insert_template("count rows above {n:identifier}", SIG_A, CTX, simple_plan("name {n}"))
+    assert cache.lookup("count rows above x17", SIG_A, CTX).plan.subquestions[0].question == "name x17"
+    assert cache.lookup("count rows above 17", SIG_A, CTX).plan.subquestions[0].question == "number 17"
+    cache.insert_template("count rows above {m:number}", SIG_A, CTX, simple_plan("other {m}"))
+    assert cache.lookup("count rows above 17", SIG_A, CTX).plan.subquestions[0].question == "other 17"
 
 
 # --- LRU ---------------------------------------------------------------------------
@@ -209,6 +237,19 @@ def test_lru_reinsert_same_key_refreshes():
     assert cache.lookup("b", SIG_A, CTX) is None
     hit = cache.lookup("a", SIG_A, CTX)
     assert hit.plan.subquestions[0].question == "a2"
+
+
+def test_template_and_semantic_hits_refresh_recency():
+    cache = PlanCache(capacity=3)
+    cache.insert_template("count rows above {n:number}", SIG_A, CTX, simple_plan("rows above {n}"))
+    cache.insert("alpha beta gamma delta", SIG_A, CTX, simple_plan("alpha"))
+    cache.insert("unrelated words entirely", SIG_A, CTX, simple_plan("other"))
+    assert cache.lookup("count rows above 3", SIG_A, CTX).strategy == "template"
+    assert cache.lookup("delta gamma beta alpha", SIG_A, CTX).strategy == "semantic"
+    cache.insert("fresh question here", SIG_A, CTX, simple_plan("fresh"))
+    assert [e.key.normalized_query for e in cache.entries()] == [
+        "count rows above {n:number}", "alpha beta gamma delta", "fresh question here",
+    ]
 
 
 def test_lru_capacity_one():
@@ -262,6 +303,9 @@ def test_cache_snapshot_round_trip(tmp_path):
     cache.lookup("another concrete question", SIG_A, CTX)
     path = tmp_path / "cache.json"
     cache.save(path)
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"stats", "entries"}
+    assert [sorted(item) for item in doc["entries"]] == [["key", "kind", "plan"]] * 2
     loaded = PlanCache.load(path)
     assert len(loaded) == len(cache)
     assert loaded.stats == cache.stats
@@ -269,6 +313,88 @@ def test_cache_snapshot_round_trip(tmp_path):
     assert hit is not None and hit.strategy == "template"
     exact = loaded.lookup("another concrete question", SIG_A, CTX)
     assert exact.strategy == "exact"
+
+
+def recency(cache: PlanCache) -> list[str]:
+    return [e.key.normalized_query for e in cache.entries()]
+
+
+def test_lru_order_and_stats_survive_save_and_load(tmp_path):
+    cache = PlanCache(capacity=4, tau=1.0)
+    for name in ("one", "two", "three", "four", "five"):
+        cache.insert(f"{name} things", SIG_A, CTX, simple_plan(name))
+    cache.lookup("three things", SIG_A, CTX)
+    cache.lookup("two things", SIG_A, CTX)
+    cache.lookup("nothing cached", SIG_A, CTX)
+    assert recency(cache) == ["four things", "five things", "three things", "two things"]
+    path = tmp_path / "cache.json"
+    cache.save(path)
+    loaded = PlanCache.load(path, capacity=4, tau=1.0)
+    assert recency(loaded) == recency(cache)
+    assert loaded.stats == cache.stats and loaded.stats.evictions == 1
+    for probe in (cache, loaded):  # the same next victim on both sides
+        probe.insert("six things", SIG_A, CTX, simple_plan("six"))
+        assert recency(probe) == ["five things", "three things", "two things", "six things"]
+
+
+EARLIER_FORMAT_FILE = """{"capacity": 2, "tau": 0.5, "counter": 9,
+ "stats": {"hits_exact": 4, "hits_template": 3, "hits_semantic": 0, "misses": 2, "insertions": 3, "evictions": 0},
+ "entries": [
+  {"kind": "concrete", "key": {"normalized_query": "alpha things", "schema_signature": "sig-aaaa",
+   "context_fingerprint": "FP"},
+   "plan": {"subquestions": [{"question": "alpha", "tool": "iceberg", "label": "$var_1",
+    "should_expose_answer": true, "answer_description": "d"}]},
+   "skeleton": null, "slots": [], "provenance_summary": "from query: 'alpha things'",
+   "last_used": 7, "created": 1, "embedding": [0.0, 0.25, 0.0]},
+  {"kind": "template", "key": {"normalized_query": "count rows above {n:number}", "schema_signature": "sig-aaaa",
+   "context_fingerprint": "FP"},
+   "plan": null,
+   "skeleton": {"subquestions": [{"question": "rows above {n}", "tool": "iceberg", "label": "$var_1",
+    "should_expose_answer": true, "answer_description": "d"}]},
+   "slots": [{"name": "n", "type": "number"}], "provenance_summary": "template: 'count rows above {n:number}'",
+   "last_used": 9, "created": 2, "embedding": null},
+  {"kind": "concrete", "key": {"normalized_query": "beta things", "schema_signature": "sig-aaaa",
+   "context_fingerprint": "FP"},
+   "plan": {"subquestions": [{"question": "beta", "tool": "iceberg", "label": "$var_1",
+    "should_expose_answer": true, "answer_description": "d"}]},
+   "skeleton": null, "slots": [], "provenance_summary": "from query: 'beta things'",
+   "last_used": 3, "created": 3, "embedding": [0.5, 0.0, 0.0]}
+ ]}"""
+
+
+def test_earlier_format_file_loads_with_recency_from_last_used(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text(EARLIER_FORMAT_FILE.replace("FP", CTX.fingerprint()))
+    loaded = PlanCache.load(path)
+    assert (loaded.capacity, loaded.tau) == (128, 0.85)  # the file's capacity and tau are ignored
+    assert recency(loaded) == ["beta things", "alpha things", "count rows above {n:number}"]
+    assert loaded.stats.hits_exact == 4 and loaded.stats.insertions == 3
+    hit = loaded.lookup("count rows above 12", SIG_A, CTX)
+    assert hit.strategy == "template" and hit.plan.subquestions[0].question == "rows above 12"
+    semantic = loaded.lookup("things beta", SIG_A, CTX)  # embedding recomputed, not the stored one
+    assert semantic.strategy == "semantic" and semantic.plan.subquestions[0].question == "beta"
+    assert recency(PlanCache.load(path, capacity=2)) == ["alpha things", "count rows above {n:number}"]
+
+
+def test_reloaded_embeddings_equal_inserted_ones(tmp_path):
+    cache = PlanCache()
+    cache.insert("what is the venue of club x", SIG_A, CTX, simple_plan())
+    cache.save(tmp_path / "cache.json")
+    (before,), (after,) = cache.entries(), PlanCache.load(tmp_path / "cache.json").entries()
+    assert after.embedding.tobytes() == before.embedding.tobytes()
+    assert after.provenance_summary == "from query: 'what is the venue of club x'"
+
+
+@pytest.mark.parametrize("text", [
+    '{"stats": {}, "entries": [1]}',
+    '{"stats": {}, "entries": [{"kind": "odd", "key": {"normalized_query": "q", "schema_signature": "s",'
+    ' "context_fingerprint": "f"}, "plan": {"subquestions": []}}]}',
+])
+def test_unreadable_file_is_a_cache_file_error(tmp_path, text):
+    path = tmp_path / "cache.json"
+    path.write_text(text)
+    with pytest.raises(CacheFileError):
+        PlanCache.load(path)
 
 
 def test_save_interrupted_before_rename_keeps_previous_file(tmp_path, monkeypatch):

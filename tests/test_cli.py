@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from adot.cache import PlanCache
 from adot.cli import main
 from adot.stores.store import load_store
 from conftest import FIXTURES
@@ -122,6 +123,25 @@ def test_ask_with_cache_file_round_trip(store_dir, tmp_path, capsys):
     assert main(["cache", "stats", "--cache-file", str(cache_file)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["entries"] == 0
+
+
+@pytest.fixture
+def unreadable_cache_file(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text('{"stats": {"hits_exact": 0, "hits_templ')  # a truncated cache file
+    return path
+
+
+def test_cache_stats_on_an_unreadable_file_exits_1(unreadable_cache_file, capsys):
+    assert main(["cache", "stats", "--cache-file", str(unreadable_cache_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a plan cache file" in captured.err
+
+
+def test_cache_clear_on_an_unreadable_file_writes_an_empty_cache(unreadable_cache_file, capsys):
+    assert main(["cache", "clear", "--cache-file", str(unreadable_cache_file)]) == 0
+    assert "cache cleared" in capsys.readouterr().out
+    assert len(PlanCache.load(unreadable_cache_file)) == 0
 
 
 def test_ask_with_config_file_and_env_override(store_dir, tmp_path, capsys, monkeypatch):

@@ -178,6 +178,17 @@ def test_unreadable_cache_file_starts_empty_with_a_warning(tmp_path, caplog, dam
     assert len(olympics_pipeline(cache_file=str(cache_file)).cache) == 1
 
 
+def test_config_capacity_and_tau_win_over_the_cache_file(tmp_path):
+    cache_file = tmp_path / "cache.json"
+    olympics_pipeline(cache_file=str(cache_file)).answer_question(OLYMPICS_QUESTION)
+    pipeline = olympics_pipeline(cache_file=str(cache_file), tau=1.0, cache_capacity=4)
+    assert (pipeline.cache.tau, pipeline.cache.capacity, len(pipeline.cache)) == (1.0, 4, 1)
+    env = {"ADOT_TAU": "0.5", "ADOT_CACHE_CAPACITY": "2"}
+    store = make_store("olympics")
+    from_env = Pipeline(store, load_config(env=env, cache_file=str(cache_file)), planner=ScriptedPlanner({}))
+    assert (from_env.cache.tau, from_env.cache.capacity) == (0.5, 2)
+
+
 def test_config_precedence_file_env_overrides(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"tau": 0.7, "top_k": 3, "context_role": "file-role"}))
