@@ -49,7 +49,6 @@ from .executor import (
     ExecutionEvent,
     ExecutionFeedback,
     ExecutionResult,
-    ExecutorConfig,
     FeedbackClass,
     MissingKeyError,
     NoExposedResultsError,

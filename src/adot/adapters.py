@@ -15,6 +15,7 @@ import re
 import shlex
 import subprocess
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
@@ -35,11 +36,15 @@ from .stores.vector import ChunkHit, EmptyIndexError, VectorIndex
 
 DEFAULT_TOP_K = 5
 
-# Adapter error classes consumed by the executor's feedback mapping.
-ERR_TRANSLATION_FAILED = "TranslationFailed"
-ERR_NO_MATCH = "NoMatch"
-ERR_EMPTY_INDEX = "EmptyIndex"
-ERR_STORE = "StoreError"
+
+class FeedbackClass(str, Enum):
+    """Why a node failed, from the adapter through the executor to DataOps."""
+
+    TRANSLATION_FAILED = "TranslationFailed"
+    UNKNOWN_VARIABLE_AT_RUNTIME = "UnknownVariableAtRuntime"
+    STORE_ERROR = "StoreError"
+    TIMEOUT = "Timeout"
+    NO_MATCH = "NoMatch"
 
 
 class TranslationFailedError(ValueError):
@@ -52,7 +57,7 @@ class PlannerMissError(KeyError):
 
 @dataclass(frozen=True)
 class AdapterError:
-    klass: str
+    klass: FeedbackClass
     message: str
     infrastructure: bool = False
 
@@ -247,11 +252,11 @@ def run_structured_adapter(
     try:
         query = translator.translate(rq, store.schema)
     except TranslationFailedError as exc:
-        return AdapterOutcome(error=AdapterError(ERR_TRANSLATION_FAILED, str(exc)))
+        return AdapterOutcome(error=AdapterError(FeedbackClass.TRANSLATION_FAILED, str(exc)))
     try:
         result = exec_structured(store, query)
     except StoreQueryError as exc:
-        return AdapterOutcome(error=AdapterError(ERR_STORE, str(exc)))
+        return AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, str(exc)))
     return AdapterOutcome(result=result, answer_value=render_result(result))
 
 
@@ -284,13 +289,13 @@ def run_vector_adapter(
     try:
         hits = index.search(rq.question_resolved, k=k, doc_filter=doc_filter)
     except EmptyIndexError as exc:
-        return AdapterOutcome(error=AdapterError(ERR_EMPTY_INDEX, str(exc), infrastructure=True))
+        return AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, str(exc), infrastructure=True))
 
     best = hits[0].fused_score if hits else 0.0
     hits = [h for h in hits if h.fused_score > 0.0 and h.fused_score >= rel_cutoff * best]
     if not hits:
         return AdapterOutcome(
-            error=AdapterError(ERR_NO_MATCH, "no chunk matches the question"),
+            error=AdapterError(FeedbackClass.NO_MATCH, "no chunk matches the question"),
             answer_value=[] if wants_doc_ids else None,
         )
 

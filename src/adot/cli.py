@@ -1,6 +1,7 @@
 """Command line surface: ingest, validate, run, ask, cache, trace.
 
-Exit codes: 0 ok, 2 invalid plan, 3 execution failure, 4 unrecoverable.
+Exit codes: 0 ok, 2 invalid plan or bad input, 3 execution failure,
+4 unrecoverable.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from .adapters import ScriptedPlanner
 from .cache import CacheFileError, PlanCache
-from .lineage import trace_answer
+from .lineage import LineageIOError, trace_answer
 from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
 from .plan_ir import parse_plan
 from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, IngestError, ingest
@@ -225,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, LineageIOError) as exc:  # bad input: a message, not a traceback
+        print(f"adot: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

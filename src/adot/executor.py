@@ -19,13 +19,11 @@ from enum import Enum
 from typing import Any, Callable, Mapping, Sequence
 
 from .adapters import (
+    AdapterError,
     AdapterOutcome,
     DEFAULT_REL_CUTOFF,
     DEFAULT_TOP_K,
-    ERR_EMPTY_INDEX,
-    ERR_NO_MATCH,
-    ERR_STORE,
-    ERR_TRANSLATION_FAILED,
+    FeedbackClass,
     PatternTranslator,
     ResolvedSubQuery,
     run_structured_adapter,
@@ -49,23 +47,6 @@ logger = logging.getLogger(__name__)
 MAX_PARALLEL_CAP = 8
 INLINE_VALUE_LIMIT = 100
 DEFAULT_NODE_TIMEOUT = 30.0
-
-
-class FeedbackClass(str, Enum):
-    TRANSLATION_FAILED = "TranslationFailed"
-    UNKNOWN_VARIABLE_AT_RUNTIME = "UnknownVariableAtRuntime"
-    EMPTY_DEPENDENCY = "EmptyDependency"
-    STORE_ERROR = "StoreError"
-    TIMEOUT = "Timeout"
-    NO_MATCH = "NoMatch"
-
-
-_ADAPTER_ERROR_MAP = {
-    ERR_TRANSLATION_FAILED: FeedbackClass.TRANSLATION_FAILED,
-    ERR_NO_MATCH: FeedbackClass.NO_MATCH,
-    ERR_EMPTY_INDEX: FeedbackClass.STORE_ERROR,
-    ERR_STORE: FeedbackClass.STORE_ERROR,
-}
 
 
 class EventKind(str, Enum):
@@ -96,21 +77,11 @@ class ExecutionFeedback:
 
 @dataclass(frozen=True)
 class Binding:
-    """A node's output under its label, plus the slimmed forwarding view."""
+    """A node's answer value under its label, plus the slimmed forwarding view."""
 
     label: str
-    full_result: Any
     slim_view: Mapping[str, tuple]
-    produced_by: int
     answer_value: Any = None
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    max_parallel: int | None = None  # None: widest wave, capped at 8
-    node_timeout: float = DEFAULT_NODE_TIMEOUT
-    slimming: bool = True
-    inline_threshold: int = INLINE_VALUE_LIMIT
 
 
 class CycleDetectedError(RuntimeError):
@@ -242,17 +213,13 @@ def _binding_inline_value(binding: Binding) -> str:
     return ""
 
 
-def resolve_question(
-    node: SubQuery,
-    bindings: Mapping[str, Binding],
-    inline_threshold: int = INLINE_VALUE_LIMIT,
-) -> ResolvedSubQuery:
+def resolve_question(node: SubQuery, bindings: Mapping[str, Binding]) -> ResolvedSubQuery:
     """Substitute variable references with bound values.
 
     A bare ``$var_d`` becomes the producing node's answer value. In the
     display text ``question_resolved``, ``$var_d.c`` becomes an inline
     comma-separated value list (text values quoted) when there are
-    1..inline_threshold distinct values; larger or empty lists stay
+    1..INLINE_VALUE_LIMIT distinct values; larger or empty lists stay
     symbolic. In ``question`` every ``$var_d.c`` stays symbolic: its values
     reach the adapter only through ``bindings_in``, typed.
     """
@@ -274,7 +241,7 @@ def resolve_question(
         values = binding.slim_view.get(column)
         if values is None:
             raise UnboundVariableError(f"{label}.{column}")
-        if inline and 1 <= len(values) <= inline_threshold:
+        if inline and 1 <= len(values) <= INLINE_VALUE_LIMIT:
             return ", ".join(_quote(v) for v in values)
         return m.group(0)
 
@@ -291,26 +258,19 @@ def resolve_question(
     )
 
 
-class TemplateSynthesizer:
-    """Default answer synthesis: one "description: value" line per exposure,
-    node order, identical values deduplicated."""
-
-    def synthesize(self, exposed: Sequence[tuple[str, Any]]) -> str:
-        lines = []
-        seen_values: set[str] = set()
-        for description, value in exposed:
-            rendered = render_value(value)
-            if rendered in seen_values:
-                continue
-            seen_values.add(rendered)
-            lines.append(f"{description}: {rendered}")
-        return "\n".join(lines)
-
-
-def synthesize_answer(exposed: Sequence[tuple[str, Any]], synthesizer: Any = None) -> str:
+def synthesize_answer(exposed: Sequence[tuple[str, Any]]) -> str:
+    """One "description: value" line per exposure, node order, identical values deduplicated."""
     if not exposed:
         raise NoExposedResultsError("no exposed results to synthesize")
-    return (synthesizer or TemplateSynthesizer()).synthesize(exposed)
+    lines = []
+    seen_values: set[str] = set()
+    for description, value in exposed:
+        rendered = render_value(value)
+        if rendered in seen_values:
+            continue
+        seen_values.add(rendered)
+        lines.append(f"{description}: {rendered}")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -342,7 +302,8 @@ def execute_plan(
     plan: Plan,
     store: Store | None = None,
     adapters: Mapping[Tool, AdapterFn] | None = None,
-    config: ExecutorConfig | None = None,
+    max_parallel: int | None = None,
+    node_timeout: float = DEFAULT_NODE_TIMEOUT,
     lineage: LineageLog | None = None,
     on_event: Callable[[ExecutionEvent], None] | None = None,
     initial_bindings: Mapping[str, Binding] | None = None,
@@ -353,8 +314,10 @@ def execute_plan(
     :class:`ExecutionFeedback`, its dependents are skipped, and independent
     branches keep executing. ``initial_bindings`` lets a remediation loop
     resume a partially executed plan without recomputing executed nodes.
+    ``max_parallel`` defaults to the widest wave, capped at 8. A node that
+    runs longer than ``node_timeout`` seconds fails as a timeout; its
+    worker is abandoned, never waited for, so the call returns on time.
     """
-    cfg = config or ExecutorConfig()
     log = lineage if lineage is not None else LineageLog()
     if adapters is None:
         if store is None:
@@ -400,42 +363,45 @@ def execute_plan(
             )
         )
 
-    def fail_node(index: int, klass: FeedbackClass, message: str, elapsed_ms: float, *,
-                  infrastructure: bool = False, rq: ResolvedSubQuery | None = None,
-                  answer_value: Any = None) -> None:
+    def fail_node(index: int, error: AdapterError, elapsed_ms: float,
+                  rq: ResolvedSubQuery | None = None, answer_value: Any = None) -> None:
         failed.add(index)
         nodes[index] = replace(nodes[index], status=NodeStatus.FAILED)
         feedback.append(
             ExecutionFeedback(
                 node_index=index,
-                error_class=klass,
-                message=message,
+                error_class=error.klass,
+                message=error.message,
                 bound_labels=tuple(sorted(bindings)),
-                infrastructure=infrastructure,
+                infrastructure=error.infrastructure,
             )
         )
-        record(index, "failed", rq, error_class=klass.value, wall_ms=elapsed_ms,
+        record(index, "failed", rq, error_class=error.klass.value, wall_ms=elapsed_ms,
                output_summary={"answer_value": answer_value} if answer_value is not None else {})
         emit(EventKind.NODE_FAILED, index,
-             {"label": nodes[index].label, "error_class": klass.value, "message": message})
+             {"label": nodes[index].label, "error_class": error.klass.value, "message": error.message})
 
-    def run_node(index: int):
-        """(resolved sub-question, outcome, exception raised, elapsed ms)."""
+    def run_node(index: int) -> tuple[ResolvedSubQuery | None, AdapterOutcome, float]:
+        """(resolved sub-question, outcome, elapsed ms); a raised exception becomes the outcome's error."""
         t0 = time.perf_counter()
-        rq = outcome = None
+        rq = None
         try:
-            rq = resolve_question(nodes[index], bindings, cfg.inline_threshold)
+            rq = resolve_question(nodes[index], bindings)
             outcome = adapters[rq.tool](rq)
-        except Exception as exc:  # adapter bugs reified as feedback below
-            return rq, None, exc, (time.perf_counter() - t0) * 1000.0
-        return rq, outcome, None, (time.perf_counter() - t0) * 1000.0
+        except UnboundVariableError as exc:
+            outcome = AdapterOutcome(error=AdapterError(FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, str(exc)))
+        except Exception as exc:  # an adapter bug fails its node, not the run
+            logger.error("node %d adapter raised", index, exc_info=exc)
+            outcome = AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, f"adapter raised: {exc}"))
+        return rq, outcome, (time.perf_counter() - t0) * 1000.0
 
-    max_parallel = cfg.max_parallel
     if max_parallel is None:
         widest = max((len(w) for w in waves), default=1)
         max_parallel = max(1, min(widest, MAX_PARALLEL_CAP))
 
-    with ThreadPoolExecutor(max_workers=max_parallel) as pool:
+    pool = ThreadPoolExecutor(max_workers=max_parallel)
+    timed_out = False
+    try:
         for wave in waves:
             runnable = []
             for i in wave:
@@ -449,52 +415,32 @@ def execute_plan(
                 node = nodes[i]
                 waiting = time.perf_counter()
                 try:
-                    rq, outcome, exc, elapsed = futures[i].result(timeout=cfg.node_timeout)
+                    rq, outcome, elapsed = futures[i].result(timeout=node_timeout)
                 except FutureTimeoutError:
+                    timed_out = True
                     futures[i].cancel()
-                    fail_node(i, FeedbackClass.TIMEOUT, f"node {i} exceeded {cfg.node_timeout}s",
+                    fail_node(i, AdapterError(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
                               (time.perf_counter() - waiting) * 1000.0)
                     continue
-                if isinstance(exc, UnboundVariableError):
-                    fail_node(i, FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, str(exc), elapsed)
-                    continue
-                if exc is not None:
-                    logger.error("node %d adapter raised", i, exc_info=exc)
-                    fail_node(i, FeedbackClass.STORE_ERROR, f"adapter raised: {exc}", elapsed, rq=rq)
-                    continue
-
                 if outcome.error is not None:
-                    klass = _ADAPTER_ERROR_MAP.get(outcome.error.klass, FeedbackClass.STORE_ERROR)
-                    infra = outcome.error.infrastructure or outcome.error.klass == ERR_EMPTY_INDEX
-                    fail_node(i, klass, outcome.error.message, elapsed, infrastructure=infra,
-                              rq=rq, answer_value=outcome.answer_value)
+                    fail_node(i, outcome.error, elapsed, rq, outcome.answer_value)
                     continue
 
                 available = result_keys(outcome.result)
                 needed = set(required_keys[i]) | (set(crosslink_keys) & set(available))
-                try:
-                    if not cfg.slimming:
-                        slim = slim_binding(outcome.result, set(available)) if available else {}
-                    elif needed:
-                        slim = slim_binding(outcome.result, needed)
-                    else:
-                        slim = {}
-                except MissingKeyError as exc:
-                    fail_node(i, FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME,
-                              f"result of node {i} lacks required key {exc.key!r}", elapsed, rq=rq)
-                    continue
-
                 label = node.label or f"$var_{i}"
-                if label in bindings:
-                    fail_node(i, FeedbackClass.STORE_ERROR, f"label {label} already bound", elapsed, rq=rq)
+                try:
+                    slim = slim_binding(outcome.result, needed) if needed else {}
+                except MissingKeyError as exc:
+                    error = AdapterError(FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME,
+                                         f"result of node {i} lacks required key {exc.key!r}")
+                else:
+                    error = (AdapterError(FeedbackClass.STORE_ERROR, f"label {label} already bound")
+                             if label in bindings else None)
+                if error is not None:
+                    fail_node(i, error, elapsed, rq)
                     continue
-                bindings[label] = Binding(
-                    label=label,
-                    full_result=outcome.result,
-                    slim_view=slim,
-                    produced_by=i,
-                    answer_value=outcome.answer_value,
-                )
+                bindings[label] = Binding(label=label, slim_view=slim, answer_value=outcome.answer_value)
                 nodes[i] = replace(
                     node,
                     status=NodeStatus.EXECUTED,
@@ -516,6 +462,12 @@ def execute_plan(
                             "value": outcome.answer_value,
                         },
                     )
+    finally:
+        # Join the workers, unless one timed out: it may still be running, and
+        # waiting for it would stretch the call past node_timeout. (Never
+        # joining lets exiting threads pile up across answers: vec_churn's
+        # peak RSS rose 6 to 10%.)
+        pool.shutdown(wait=not timed_out, cancel_futures=True)
 
     ordered = sorted(nodes)
     exposed = tuple(

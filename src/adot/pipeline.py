@@ -38,7 +38,6 @@ from .dataops import (
 )
 from .executor import (
     ExecutionEvent,
-    ExecutorConfig,
     execute_plan,
     make_default_adapters,
 )
@@ -62,8 +61,6 @@ class PipelineConfig:
     max_parallel: int | None = None
     max_fix_iterations: int = DEFAULT_MAX_ITERATIONS
     node_timeout: float = 30.0
-    inline_threshold: int = 100
-    slimming: bool = True
     planner: str | None = None  # "scripted:<file>" or "external:<command>"
     replanner: str | None = None  # "external:<command>"
     context_role: str = "default"
@@ -93,14 +90,6 @@ class PipelineConfig:
     @property
     def context(self) -> Context:
         return Context(role=self.context_role, policy_flags=frozenset(self.policy_flags))
-
-    def executor_config(self) -> ExecutorConfig:
-        return ExecutorConfig(
-            max_parallel=self.max_parallel,
-            node_timeout=self.node_timeout,
-            slimming=self.slimming,
-            inline_threshold=self.inline_threshold,
-        )
 
 
 def parse_bool(raw: str) -> bool:
@@ -135,12 +124,19 @@ def load_config(
     env: Mapping[str, str] | None = None,
     **overrides: Any,
 ) -> PipelineConfig:
-    """Build a config with precedence: defaults < file < ADOT_* env < overrides."""
+    """Build a config with precedence: defaults < file < ADOT_* env < overrides.
+
+    A key in the file that is not a config field is a ``ValueError``.
+    """
+    fields = dataclasses.fields(PipelineConfig)
     data: dict[str, Any] = {}
     if path is not None:
         data.update(json.loads(Path(path).read_text(encoding="utf-8")))
+        unknown = sorted(set(data) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
     env = os.environ if env is None else env
-    for f in dataclasses.fields(PipelineConfig):
+    for f in fields:
         key = f"ADOT_{f.name.upper()}"
         if key in env:
             data[f.name] = _coerce_env(key, env[key], f)
@@ -297,7 +293,8 @@ class Pipeline:
                             plan,
                             self.store,
                             adapters=self.adapters,
-                            config=cfg.executor_config(),
+                            max_parallel=cfg.max_parallel,
+                            node_timeout=cfg.node_timeout,
                             lineage=lineage,
                             on_event=on_event,
                             initial_bindings=bindings,

@@ -14,7 +14,6 @@ from .ingest import (
 from .relational import (
     Aggregate,
     ChunkRef,
-    EMPTY_RESULT,
     Filter,
     Join,
     MiniQuerySyntaxError,

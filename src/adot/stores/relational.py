@@ -59,9 +59,6 @@ class ChunkRef:
         return {"document_id": self.document_id, "chunk_id": self.chunk_id}
 
 
-SourceRef = RowRef | ChunkRef
-
-
 def ref_from_json(obj: Mapping[str, Any]) -> "RowRef | ChunkRef":
     if "table" in obj:
         return RowRef(table=obj["table"], row_id=int(obj["row_id"]))
@@ -187,9 +184,6 @@ class ResultSet:
                 seen.add(v)
                 out.append(v)
         return out
-
-
-EMPTY_RESULT = ResultSet(columns=(), rows=(), provenance=())
 
 
 _FLIPPED = {  # cell OP literal  is  _FLIPPED[OP](literal, cell)

@@ -49,12 +49,6 @@ class TableSchema:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def column_type(self, name: str) -> str:
-        for c in self.columns:
-            if c.name == name:
-                return c.type
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class CollectionSchema:
@@ -89,12 +83,6 @@ class GlobalSchema:
             table = by_name.get(link.table_name)
             if table is None or link.column_name not in table.column_names:
                 raise ValueError(f"cross-link target {link.table_name}.{link.column_name} does not exist")
-
-    def table(self, name: str) -> TableSchema:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise KeyError(name)
 
     def all_column_names(self) -> frozenset[str]:
         return frozenset(c.name for t in self.tables for c in t.columns)

@@ -143,9 +143,11 @@ def simulated_adapters(delay: float = 0.0, fail_nodes: frozenset[int] = frozense
         if delay:
             time.sleep(delay)
         if rq.node_index in fail_nodes:
-            from adot.adapters import AdapterError, ERR_NO_MATCH
+            from adot.adapters import AdapterError, FeedbackClass
 
-            return AdapterOutcome(error=AdapterError(ERR_NO_MATCH, f"simulated failure at node {rq.node_index}"))
+            return AdapterOutcome(
+                error=AdapterError(FeedbackClass.NO_MATCH, f"simulated failure at node {rq.node_index}")
+            )
         consumed = sorted(
             (label, key, tuple(values))
             for label, slim in rq.bindings_in.items()

@@ -14,7 +14,7 @@ import pytest
 
 from adot.adapters import ScriptedPlanner
 from adot.cache import PlanCache, build_template, normalize_query
-from adot.executor import ExecutorConfig, execute_plan, slim_binding
+from adot.executor import execute_plan, slim_binding
 from adot.lineage import trace_answer
 from adot.pipeline import Pipeline, PipelineConfig
 from adot.plan_ir import Context, Tool, find_cycle
@@ -145,7 +145,7 @@ def test_acceptance_parallel_equals_sequential():
         outcomes = []
         for max_parallel in (1, 4):
             result = execute_plan(
-                plan, adapters=simulated_adapters(), config=ExecutorConfig(max_parallel=max_parallel)
+                plan, adapters=simulated_adapters(), max_parallel=max_parallel
             )
             assert result.ok
             normalized_lineage = sorted(
@@ -194,7 +194,7 @@ def test_acceptance_parallel_equals_sequential():
 
         start = time.perf_counter()
         execute_plan(diamond, adapters={Tool.STRUCTURED: adapter, Tool.VECTOR: adapter},
-                     config=ExecutorConfig(max_parallel=max_parallel))
+                     max_parallel=max_parallel)
         return time.perf_counter() - start
 
     parallel_wall = timed(2)
@@ -218,13 +218,24 @@ def test_acceptance_slimming():
     full_size = len(json.dumps({"columns": list(result.columns), "rows": [list(r) for r in result.rows]}))
     assert slim_size < 0.05 * full_size, f"slim {slim_size}B vs full {full_size}B"
 
-    for fixture in ("olympics", "queensland", "smoky_mountains"):
+    # on the fixtures, each binding forwards only the columns its dependents
+    # reference plus the cross-link keys, and the answers are the golden ones
+    for fixture, answer in (
+        ("olympics", "Birth year of the athlete: 1920"),
+        ("queensland", "Venue of the club that won the Bathurst 12 Hour: Willowbank"),
+        ("smoky_mountains", None),
+    ):
         plan = load_plan(fixture)
         store = make_store(fixture)
-        on = execute_plan(plan, store, config=ExecutorConfig(slimming=True))
-        off = execute_plan(plan, store, config=ExecutorConfig(slimming=False))
-        assert on.final_answer == off.final_answer
-        assert on.answers == off.answers
+        referenced = {sq.label: set() for sq in plan.subquestions}
+        for sq in plan.subquestions:
+            for ref in sq.var_refs():
+                if ref.column is not None:
+                    referenced[f"$var_{ref.target_index}"].add(ref.column)
+        result = execute_plan(plan, store)
+        assert result.final_answer == answer
+        for label, binding in result.bindings.items():
+            assert referenced[label] <= set(binding.slim_view) <= referenced[label] | store.schema.crosslink_keys()
     _report("slimming")
 
 

@@ -208,3 +208,34 @@ def test_ask_sequential_flag(store_dir, capsys):
         "--no-cache",
     ])
     assert code == 0
+
+
+def _bad_env_value(tmp_path, store_dir, monkeypatch):
+    monkeypatch.setenv("ADOT_TOP_K", "abc")
+    return ["cache", "stats", "--cache-file", str(tmp_path / "cache.json")], "ADOT_TOP_K"
+
+
+def _plan_not_json(tmp_path, store_dir, monkeypatch):
+    plan = tmp_path / "plan.json"
+    plan.write_text("{not json", encoding="utf-8")
+    return ["validate", "--plan", str(plan), "--schema", str(store_dir / "schema.json")], "invalid JSON"
+
+
+def _missing_lineage(tmp_path, store_dir, monkeypatch):
+    return ["trace", "--lineage", str(tmp_path / "missing.jsonl"), "--label", "$var_1"], "missing.jsonl"
+
+
+def _unknown_config_key(tmp_path, store_dir, monkeypatch):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"top_k": 3, "slimming": False}))
+    return ["ask", "--question", "q?", "--store", str(store_dir), "--config", str(config_file)], "slimming"
+
+
+@pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _missing_lineage, _unknown_config_key],
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys, monkeypatch):
+    argv, named = bad_input(tmp_path, store_dir, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("adot: ") and named in err

@@ -45,7 +45,7 @@ def feedback(klass, node=1, infra=False):
         (feedback(FeedbackClass.TIMEOUT, infra=True), DiagnosisClass.INFRASTRUCTURE_DOWN),
         (feedback(FeedbackClass.STORE_ERROR, infra=True), DiagnosisClass.INFRASTRUCTURE_DOWN),
         (feedback(FeedbackClass.TIMEOUT, infra=False), DiagnosisClass.UNKNOWN),
-        (feedback(FeedbackClass.EMPTY_DEPENDENCY), DiagnosisClass.UNKNOWN),
+        (feedback(FeedbackClass.STORE_ERROR, infra=False), DiagnosisClass.UNKNOWN),
     ],
 )
 def test_diagnose_mapping_table(item, expected):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 from random import Random
 
@@ -11,18 +12,19 @@ from adot.executor import (
     Binding,
     CycleDetectedError,
     EventKind,
-    ExecutorConfig,
     FeedbackClass,
     MissingKeyError,
     NoExposedResultsError,
     UnboundVariableError,
     execute_plan,
+    make_default_adapters,
     resolve_question,
     slim_binding,
     synthesize_answer,
     topological_waves,
 )
 from adot.plan_ir import NodeStatus, Tool
+from adot.stores.ingest import build_store
 from adot.stores.relational import ResultSet, RowRef
 from plangen import parse_doc, random_valid_plan_doc, simulated_adapters
 
@@ -120,8 +122,8 @@ def test_slim_large_result_payload_reduction():
 # --- resolve_question -----------------------------------------------------------
 
 
-def binding(label, view, answer=None, produced_by=1):
-    return Binding(label=label, full_result=None, slim_view=view, produced_by=produced_by, answer_value=answer)
+def binding(label, view, answer=None):
+    return Binding(label=label, slim_view=view, answer_value=answer)
 
 
 def test_resolve_inline_single_value():
@@ -258,8 +260,8 @@ def test_failure_isolation_sibling_branch_unaffected():
          "should_expose_answer": True, "answer_description": "right"},
     ]}
     plan = parse_doc(doc)
-    clean = execute_plan(plan, adapters=simulated_adapters(), config=ExecutorConfig())
-    broken = execute_plan(plan, adapters=simulated_adapters(fail_nodes=frozenset({1})), config=ExecutorConfig())
+    clean = execute_plan(plan, adapters=simulated_adapters())
+    broken = execute_plan(plan, adapters=simulated_adapters(fail_nodes=frozenset({1})))
     assert not broken.ok and broken.skipped == (3,)
     assert broken.bindings["$var_4"].answer_value == clean.bindings["$var_4"].answer_value
     assert ("right", clean.bindings["$var_4"].answer_value) in broken.answers
@@ -273,7 +275,7 @@ def test_execute_timeout_feedback():
     result = execute_plan(
         plan,
         adapters=simulated_adapters(delay=0.5),
-        config=ExecutorConfig(node_timeout=0.05),
+        node_timeout=0.05,
     )
     assert result.feedback[0].error_class is FeedbackClass.TIMEOUT
 
@@ -285,20 +287,54 @@ def _raising_adapters():
     return {Tool.STRUCTURED: run, Tool.VECTOR: run}
 
 
-@pytest.mark.parametrize("adapters, node_timeout, low_ms, klass", [
-    (simulated_adapters(delay=0.3), 0.05, 40.0, FeedbackClass.TIMEOUT),
-    (simulated_adapters(fail_nodes=frozenset({1})), 30.0, 0.0, FeedbackClass.NO_MATCH),
-    (_raising_adapters(), 30.0, 0.0, FeedbackClass.STORE_ERROR),
-], ids=["timeout", "adapter_error", "adapter_raised"])
-def test_failed_node_wall_ms_is_a_duration(adapters, node_timeout, low_ms, klass):
-    doc = {"subquestions": [
-        {"question": "q?", "tool": "sql", "label": "$var_1", "should_expose_answer": True, "answer_description": "d"},
-    ]}
-    result = execute_plan(parse_doc(doc), adapters=adapters, config=ExecutorConfig(node_timeout=node_timeout))
-    assert result.feedback[0].error_class is klass
+ONE_NODE_DOC = {"subquestions": [
+    {"question": "q?", "tool": "sql", "label": "$var_1", "should_expose_answer": True, "answer_description": "d"},
+]}
+UNBOUND_DOC = {"subquestions": [  # node 1 counts as executed, but no binding is passed in
+    {"question": "a?", "tool": "sql", "label": "$var_1", "should_expose_answer": False,
+     "status": "executed", "partial_result_columns": ["val"]},
+    {"question": "q uses $var_1.val?", "tool": "sql", "label": "$var_2",
+     "should_expose_answer": True, "answer_description": "d"},
+]}
+VECTOR_DOC = {"subquestions": [
+    {"question": "q?", "tool": "vector", "label": "$var_1", "should_expose_answer": True, "answer_description": "d"},
+]}
+
+
+@pytest.mark.parametrize("doc, adapters, node_timeout, low_ms, klass, infrastructure, resolved", [
+    (ONE_NODE_DOC, simulated_adapters(delay=0.3), 0.05, 40.0, FeedbackClass.TIMEOUT, False, None),
+    (ONE_NODE_DOC, simulated_adapters(fail_nodes=frozenset({1})), 30.0, 0.0, FeedbackClass.NO_MATCH, False, "q?"),
+    (ONE_NODE_DOC, _raising_adapters(), 30.0, 0.0, FeedbackClass.STORE_ERROR, False, "q?"),
+    (UNBOUND_DOC, simulated_adapters(), 30.0, 0.0, FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, False, None),
+    (VECTOR_DOC, make_default_adapters(build_store([], [])[0]), 30.0, 0.0, FeedbackClass.STORE_ERROR, True, "q?"),
+], ids=["timeout", "adapter_error", "adapter_raised", "unbound_variable", "empty_index"])
+def test_failed_node_wall_ms_is_a_duration(doc, adapters, node_timeout, low_ms, klass, infrastructure, resolved):
+    result = execute_plan(parse_doc(doc), adapters=adapters, node_timeout=node_timeout)
+    (feedback,) = result.feedback
+    assert feedback.error_class is klass
+    assert feedback.infrastructure is infrastructure
     (record,) = [r for r in result.lineage.records if r.kind == "node"]
-    assert record.status == "failed"
+    assert (record.status, record.error_class) == ("failed", klass.value)
+    assert record.question_resolved == resolved  # None when resolution failed or never finished
     assert low_ms <= record.wall_ms < 10_000.0
+
+
+def test_node_timeout_bounds_wall_time():
+    release = threading.Event()
+
+    def stuck(rq):
+        release.wait(2.0)
+        return AdapterOutcome(result=rs([(1, 1)]), answer_value=1)
+
+    start = time.perf_counter()
+    try:
+        result = execute_plan(parse_doc(ONE_NODE_DOC), adapters={Tool.STRUCTURED: stuck, Tool.VECTOR: stuck},
+                              node_timeout=0.2)
+        wall = time.perf_counter() - start
+    finally:
+        release.set()
+    assert result.feedback[0].error_class is FeedbackClass.TIMEOUT
+    assert wall < 1.0, f"execute_plan waited {wall:.2f}s for a node that timed out after 0.2s"
 
 
 def test_diamond_parallel_timing():
@@ -317,11 +353,11 @@ def test_diamond_parallel_timing():
     adapters = {Tool.STRUCTURED: slow_for_wave2, Tool.VECTOR: slow_for_wave2}
 
     start = time.perf_counter()
-    execute_plan(plan, adapters=adapters, config=ExecutorConfig(max_parallel=2))
+    execute_plan(plan, adapters=adapters, max_parallel=2)
     parallel_wall = time.perf_counter() - start
 
     start = time.perf_counter()
-    execute_plan(plan, adapters=adapters, config=ExecutorConfig(max_parallel=1))
+    execute_plan(plan, adapters=adapters, max_parallel=1)
     sequential_wall = time.perf_counter() - start
 
     assert parallel_wall < 0.160
@@ -359,7 +395,7 @@ def test_parallel_equals_sequential_on_random_dags():
             result = execute_plan(
                 plan,
                 adapters=simulated_adapters(),
-                config=ExecutorConfig(max_parallel=max_parallel),
+                max_parallel=max_parallel,
             )
             assert result.ok
             runs.append(result)
@@ -373,20 +409,12 @@ def test_parallel_equals_sequential_on_random_dags():
         assert len(a.bindings) == len(plan.subquestions)
 
 
-def test_slimming_on_off_identical_answers(olympics_store, olympics_plan, queensland_store, queensland_plan):
-    for store, plan in ((olympics_store, olympics_plan), (queensland_store, queensland_plan)):
-        on = execute_plan(plan, store, config=ExecutorConfig(slimming=True))
-        off = execute_plan(plan, store, config=ExecutorConfig(slimming=False))
-        assert on.final_answer == off.final_answer
-        assert on.answers == off.answers
-
-
 def test_event_ordering_properties():
     rng = Random(31)
     for _ in range(50):
         doc = random_valid_plan_doc(rng, max_nodes=6)
         plan = parse_doc(doc)
-        result = execute_plan(plan, adapters=simulated_adapters(), config=ExecutorConfig(max_parallel=3))
+        result = execute_plan(plan, adapters=simulated_adapters(), max_parallel=3)
         kinds = [e.kind for e in result.events]
         assert kinds[-1] is EventKind.PLAN_COMPLETED
         completed_pos = {

@@ -477,8 +477,6 @@ ENV_SAMPLES = {
     "max_parallel": ("2", 2),
     "max_fix_iterations": ("1", 1),
     "node_timeout": ("1.5", 1.5),
-    "inline_threshold": ("10", 10),
-    "slimming": ("off", False),
     "planner": ("scripted:script.json", "scripted:script.json"),
     "replanner": ("external:cat", "external:cat"),
     "context_role": ("analyst", "analyst"),
