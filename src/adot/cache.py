@@ -10,6 +10,12 @@ moves its key to the end, and eviction drops the first key. When two entries
 match a query equally well, the most recently used one wins. The cache file
 holds only the stats and each entry's kind, key and plan, least recent first;
 embeddings are recomputed on load, and capacity and tau come from the caller.
+
+Each entry is serialized once, when it is made, so a save joins the entries'
+JSON lines and writes the file. The semantic pass scores every candidate with
+one mat-vec and rescores the rows within ``RESCORE_MARGIN`` of the best with
+the scalar ``cosine``, so its hits, misses and ties are those of ``cosine``
+applied to every candidate.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .plan_ir import Context, Plan, parse_plan, plan_to_json
-from .stores.vector import HashedBowEmbedder, cosine
+from .stores.vector import RESCORE_MARGIN, HashedBowEmbedder, cosine
 
 DEFAULT_TAU = 0.85
 SLOT_TYPES = ("number", "quoted_string", "identifier")
@@ -62,6 +68,7 @@ class CacheEntry:
     key: CacheKey
     plan: Plan  # a template's node questions carry {name}
     embedding: np.ndarray | None = field(default=None, repr=False, compare=False)  # concrete, never saved
+    line: str = field(default="", repr=False, compare=False)  # this entry's JSON in the cache file
 
     @property
     def provenance_summary(self) -> str:
@@ -186,8 +193,12 @@ class PlanCache:
                 self.stats.hits_exact += 1
                 return CacheHit(plan=entry.plan, strategy="exact")
 
+            concretes: list[CacheEntry] = []  # in scope, most recently used first
             for entry in reversed(self._entries.values()):
-                if entry.kind != "template" or (entry.key.schema_signature, entry.key.context_fingerprint) != scope:
+                if (entry.key.schema_signature, entry.key.context_fingerprint) != scope:
+                    continue
+                if entry.kind == "concrete":
+                    concretes.append(entry)
                     continue
                 captured = _match_template(entry.key.normalized_query, nq)
                 if captured is not None:
@@ -195,15 +206,17 @@ class PlanCache:
                     self.stats.hits_template += 1
                     return CacheHit(plan=instantiate_skeleton(entry.plan, captured), strategy="template")
 
-            q_vec = self.embedder.embed(nq)
             best: CacheEntry | None = None
             best_sim = -1.0
-            for entry in reversed(self._entries.values()):
-                if entry.kind != "concrete" or (entry.key.schema_signature, entry.key.context_fingerprint) != scope:
-                    continue
-                sim = cosine(q_vec, entry.embedding)
-                if sim > best_sim:
-                    best, best_sim = entry, sim
+            if concretes:
+                q_vec = self.embedder.embed(nq)
+                # Embeddings are unit length or zero, so a dot product is the
+                # cosine up to rounding, far inside RESCORE_MARGIN.
+                sims = np.stack([entry.embedding for entry in concretes]) @ q_vec
+                for row in np.flatnonzero(sims >= sims.max() - RESCORE_MARGIN):
+                    sim = cosine(q_vec, concretes[row].embedding)
+                    if sim > best_sim:
+                        best, best_sim = concretes[row], sim
             if best is not None and best_sim >= self.tau:
                 self._touch(best.key)
                 self.stats.hits_semantic += 1
@@ -225,13 +238,14 @@ class PlanCache:
         return self._store(self._entry("template", key, skeleton))
 
     def _entry(self, kind: str, key: CacheKey, plan: Plan) -> CacheEntry:
+        line = json.dumps({"kind": kind, "key": key.__dict__, "plan": plan_to_json(plan)})
         if kind == "concrete":
-            return CacheEntry(kind, key, plan, self.embedder.embed(key.normalized_query))
+            return CacheEntry(kind, key, plan, self.embedder.embed(key.normalized_query), line)
         if kind != "template":
             raise ValueError(f"unknown entry kind {kind!r}")
         if not any(_SLOT_TOKEN_RE.match(token) for token in key.normalized_query.split(" ")):
             raise ValueError("template entries need at least one slot")
-        return CacheEntry(kind, key, plan)
+        return CacheEntry(kind, key, plan, line=line)
 
     def _store(self, entry: CacheEntry) -> CacheEntry:
         with self._lock:
@@ -255,19 +269,18 @@ class PlanCache:
 
     def save(self, path: str | Path) -> None:
         """Write the cache to a temporary file beside ``path``, then rename it
-        over ``path``: a crash mid-save leaves the previous file whole."""
+        over ``path``: a crash mid-save leaves the previous file whole.
+
+        The text is ``json.dumps`` of ``{"stats": ..., "entries": [...]}``,
+        built from each entry's stored line rather than re-serialized.
+        """
         with self._lock:
-            doc = {
-                "stats": self.stats.to_json(),
-                "entries": [
-                    {"kind": e.kind, "key": e.key.__dict__, "plan": plan_to_json(e.plan)}
-                    for e in self._entries.values()
-                ],
-            }
+            stats = json.dumps(self.stats.to_json())
+            lines = ", ".join(entry.line for entry in self._entries.values())
         target = Path(path)
         tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            tmp.write_text(json.dumps(doc), encoding="utf-8")
+            tmp.write_text(f'{{"stats": {stats}, "entries": [{lines}]}}', encoding="utf-8")
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)

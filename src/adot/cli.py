@@ -15,7 +15,7 @@ from .adapters import ScriptedPlanner
 from .cache import CacheFileError, PlanCache
 from .lineage import LineageIOError, trace_answer
 from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
-from .plan_ir import parse_plan
+from .plan_ir import ParseError, Plan, parse_plan
 from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, IngestError, ingest
 from .stores.schema import GlobalSchema
 from .stores.store import load_store
@@ -43,8 +43,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_plan(path: str) -> tuple[str, Plan]:
+    """The plan file's text and plan; a parse error names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return text, parse_plan(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    plan = parse_plan(Path(args.plan).read_text(encoding="utf-8"))
+    _, plan = _read_plan(args.plan)
     schema = GlobalSchema.from_json(json.loads(Path(args.schema).read_text(encoding="utf-8")))
     report = validate_plan(plan, schema)
     if args.json:
@@ -58,8 +67,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    plan_text = Path(args.plan).read_text(encoding="utf-8")
-    question = parse_plan(plan_text).source_query
+    plan_text, plan = _read_plan(args.plan)
+    question = plan.source_query
     store = load_store(args.store)
     config = PipelineConfig(
         store_dir=args.store,

@@ -30,7 +30,6 @@ DEFAULT_MAX_ITERATIONS = 3
 class DiagnosisClass(str, Enum):
     TOOL_MISMATCH = "ToolMismatch"
     UNRESOLVED_VARIABLE = "UnresolvedVariable"
-    MISSING_FILTER = "MissingFilter"
     SCHEMA_DRIFT = "SchemaDrift"
     BAD_LABEL_FORMAT = "BadLabelFormat"
     MISSING_ANSWER_DESCRIPTION = "MissingAnswerDescription"

@@ -241,8 +241,14 @@ class Pipeline:
         return cls(store=store, config=config)
 
     def save_cache(self) -> None:
+        """Write the cache file, if one is configured. A file that cannot be
+        written is logged, not raised: the answer stands and the cache stays
+        in memory."""
         if self.config.cache_file:
-            self.cache.save(self.config.cache_file)
+            try:
+                self.cache.save(self.config.cache_file)
+            except OSError as exc:
+                logger.warning("plan cache not saved to %s: %s", self.config.cache_file, exc)
 
     def _record_dataops(self, lineage: LineageLog, action, diagnoses) -> None:
         lineage.append(

@@ -47,7 +47,6 @@ class ParseError(ValueError):
 
 
 VAR_REF_PATTERN = re.compile(r"\$var_(\d+)(?:\.([A-Za-z_][A-Za-z0-9_]*))?")
-LABEL_PATTERN = re.compile(r"^\$var_(\d+)$")
 
 _NODE_KEYS = (
     "question",

@@ -5,11 +5,12 @@ import os
 import threading
 from random import Random
 
+import numpy as np
 import pytest
 
 from adot.cache import CacheFileError, PlanCache, build_template, normalize_query
-from adot.plan_ir import Context
-from adot.stores.vector import STOPWORDS
+from adot.plan_ir import Context, plan_to_json
+from adot.stores.vector import STOPWORDS, HashedBowEmbedder, cosine
 from oracles import bow_cosine, bow_embed
 from plangen import parse_doc
 
@@ -212,6 +213,48 @@ def test_template_tie_goes_to_the_most_recently_used_entry():
     assert cache.lookup("count rows above 17", SIG_A, CTX).plan.subquestions[0].question == "other 17"
 
 
+class FixedEmbedder(HashedBowEmbedder):
+    """Maps each normalized text to a given vector."""
+
+    def __init__(self, vectors):
+        super().__init__(dim=4)
+        self.vectors = vectors
+
+    def embed(self, text):
+        return self.vectors[text]
+
+
+def test_semantic_tie_is_decided_on_the_exact_cosine_not_the_matrix_score():
+    base = np.array([0.0, 1.0, 1.0, 1.0])
+    q = np.array([0.0, 3.0, 0.0, 2.0])
+    vectors = {
+        "older question": base / np.linalg.norm(base),
+        "newer question": base * 3 / np.linalg.norm(base * 3),
+        "the query": q / np.linalg.norm(q),
+    }
+    # The two cached vectors differ in their last bits, so a matrix score can
+    # rank one of them an ulp ahead; their scalar cosines with the query tie.
+    assert cosine(vectors["the query"], vectors["older question"]) == cosine(
+        vectors["the query"], vectors["newer question"])
+    cache = PlanCache(capacity=4, tau=0.5, embedder=FixedEmbedder(vectors))
+    cache.insert("older question", SIG_A, CTX, simple_plan("older"))
+    cache.insert("newer question", SIG_A, CTX, simple_plan("newer"))
+    assert cache.lookup("the query", SIG_A, CTX).plan.subquestions[0].question == "newer"
+
+
+def test_semantic_hit_at_exactly_tau_and_miss_one_ulp_below():
+    stored, query = "alpha beta gamma delta epsilon", "alpha beta gamma zeta"
+    embedder = PlanCache().embedder
+    sim = cosine(embedder.embed(query), embedder.embed(stored))
+    assert 0.5 < sim < 1.0
+    at_tau = PlanCache(capacity=4, tau=sim)
+    above = PlanCache(capacity=4, tau=float(np.nextafter(sim, 1.0)))
+    for cache in (at_tau, above):
+        cache.insert(stored, SIG_A, CTX, simple_plan())
+    assert at_tau.lookup(query, SIG_A, CTX).strategy == "semantic"
+    assert above.lookup(query, SIG_A, CTX) is None
+
+
 # --- LRU ---------------------------------------------------------------------------
 
 
@@ -315,6 +358,33 @@ def test_cache_snapshot_round_trip(tmp_path):
     assert exact.strategy == "exact"
 
 
+def whole_document_dump(cache: PlanCache) -> bytes:
+    """The file as one ``json.dumps`` of the whole document (the earlier way to save)."""
+    doc = {
+        "stats": cache.stats.to_json(),
+        "entries": [
+            {"kind": e.kind, "key": e.key.__dict__, "plan": plan_to_json(e.plan)} for e in cache.entries()
+        ],
+    }
+    return json.dumps(doc).encode("utf-8")
+
+
+def test_saved_bytes_equal_a_whole_document_dump_and_survive_a_reload(tmp_path):
+    empty = PlanCache()
+    empty.save(tmp_path / "empty.json")
+    assert (tmp_path / "empty.json").read_bytes() == whole_document_dump(empty)
+    cache = invoice_template_cache()
+    for q in ('who won "the cup" in 1920', "naïve café über", "what is the venue of club x"):
+        cache.insert(q, SIG_A, CTX, simple_plan(q + "?"))
+    cache.lookup("Give me the average total amount for invoice receivers from Ohio", SIG_A, CTX)
+    cache.lookup("nothing cached", SIG_A, CTX)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    cache.save(first)
+    assert first.read_bytes() == whole_document_dump(cache)
+    PlanCache.load(first).save(second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def recency(cache: PlanCache) -> list[str]:
     return [e.key.normalized_query for e in cache.entries()]
 
@@ -374,6 +444,14 @@ def test_earlier_format_file_loads_with_recency_from_last_used(tmp_path):
     semantic = loaded.lookup("things beta", SIG_A, CTX)  # embedding recomputed, not the stored one
     assert semantic.strategy == "semantic" and semantic.plan.subquestions[0].question == "beta"
     assert recency(PlanCache.load(path, capacity=2)) == ["alpha things", "count rows above {n:number}"]
+
+
+def test_earlier_format_file_saves_as_a_whole_document_dump(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text(EARLIER_FORMAT_FILE.replace("FP", CTX.fingerprint()))
+    loaded = PlanCache.load(path)
+    loaded.save(path)
+    assert path.read_bytes() == whole_document_dump(loaded)
 
 
 def test_reloaded_embeddings_equal_inserted_ones(tmp_path):

@@ -218,7 +218,13 @@ def _bad_env_value(tmp_path, store_dir, monkeypatch):
 def _plan_not_json(tmp_path, store_dir, monkeypatch):
     plan = tmp_path / "plan.json"
     plan.write_text("{not json", encoding="utf-8")
-    return ["validate", "--plan", str(plan), "--schema", str(store_dir / "schema.json")], "invalid JSON"
+    return ["validate", "--plan", str(plan), "--schema", str(store_dir / "schema.json")], f"{plan}: invalid JSON"
+
+
+def _run_plan_not_json(tmp_path, store_dir, monkeypatch):
+    plan = tmp_path / "plan.json"
+    plan.write_text("{not json", encoding="utf-8")
+    return ["run", "--plan", str(plan), "--store", str(store_dir)], f"{plan}: invalid JSON"
 
 
 def _missing_lineage(tmp_path, store_dir, monkeypatch):
@@ -231,7 +237,8 @@ def _unknown_config_key(tmp_path, store_dir, monkeypatch):
     return ["ask", "--question", "q?", "--store", str(store_dir), "--config", str(config_file)], "slimming"
 
 
-@pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _missing_lineage, _unknown_config_key],
+@pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
+                                       _unknown_config_key],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys, monkeypatch):
     argv, named = bad_input(tmp_path, store_dir, monkeypatch)

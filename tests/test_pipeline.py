@@ -136,6 +136,15 @@ def test_lineage_file_written_and_traceable(tmp_path):
     assert len(closure) == 3
 
 
+def test_lineage_file_holds_only_the_last_answer(tmp_path):
+    lineage_path = tmp_path / "lineage.jsonl"
+    pipeline = olympics_pipeline(lineage_path=str(lineage_path))
+    pipeline.answer_question(OLYMPICS_QUESTION)
+    second = pipeline.answer_question(OLYMPICS_QUESTION)
+    assert second.cache_strategy == "exact"
+    assert read_lineage(lineage_path) == list(second.lineage.records)
+
+
 def test_cache_lineage_record_on_hit(tmp_path):
     pipeline = olympics_pipeline()
     pipeline.answer_question(OLYMPICS_QUESTION)
@@ -176,6 +185,17 @@ def test_unreadable_cache_file_starts_empty_with_a_warning(tmp_path, caplog, dam
     assert "empty plan cache" in caplog.text
     assert pipeline.answer_question(OLYMPICS_QUESTION).status == "ok"
     assert len(olympics_pipeline(cache_file=str(cache_file)).cache) == 1
+
+
+def test_unwritable_cache_file_keeps_the_answer_with_a_warning(tmp_path, caplog):
+    cache_file = tmp_path / "missing" / "cache.json"
+    pipeline = olympics_pipeline(cache_file=str(cache_file))
+    with caplog.at_level("WARNING", logger="adot.pipeline"):
+        result = pipeline.answer_question(OLYMPICS_QUESTION)
+    assert result.status == "ok" and result.final_answer == "Birth year of the athlete: 1920"
+    assert str(cache_file) in caplog.text
+    assert len(pipeline.cache) == 1 and not cache_file.parent.exists()
+    assert pipeline.answer_question(OLYMPICS_QUESTION).cache_strategy == "exact"
 
 
 def test_config_capacity_and_tau_win_over_the_cache_file(tmp_path):
