@@ -44,7 +44,7 @@ from .executor import (
 from .lineage import LineageLog, LineageRecord
 from .plan_ir import Context, NodeStatus, Plan
 from .stores.store import Store, load_store
-from .validator import HeuristicAuditor, audit_plan, validate_plan
+from .validator import AuditorUnavailable, HeuristicAuditor, audit_plan, validate_plan
 
 logger = logging.getLogger(__name__)
 
@@ -291,7 +291,11 @@ class Pipeline:
                     self.validation_calls += 1
                     items = list(validate_plan(plan, self.store.schema).errors)
                     if not items and self.auditor is not None:
-                        items = list(audit_plan(plan, question, self.store.schema, self.auditor).errors)
+                        try:
+                            items = list(audit_plan(plan, question, self.store.schema, self.auditor).errors)
+                        except AuditorUnavailable as exc:
+                            status, messages = "unrecoverable", (f"auditor unavailable: {exc}",)
+                            break
                     if items:
                         status = "unrecoverable"
                     else:

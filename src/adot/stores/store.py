@@ -44,10 +44,8 @@ class Store:
             table = self.tables.get(link.table_name)
             if table is None:
                 continue
-            idx = table.column_index(link.column_name)
-            for rid, row in enumerate(table.rows):
-                if row[idx] == document_id:
-                    out.append((table.name, rid))
+            rids = table.index(table.column_index(link.column_name)).get(document_id, ())
+            out.extend((table.name, rid) for rid in rids)
         return out
 
 

@@ -308,7 +308,9 @@ def naive_exec(tables: dict, query) -> "ResultSet":
     table, in base-row then joined-row order, with a clashing joined column
     named ``<table>.<column>``), then apply each filter to every row (a null
     cell passes no filter), then project, or group in first-appearance order
-    and aggregate the non-null values, dropping groups with none.
+    and aggregate the non-null values, dropping groups with none. A join key
+    and an ``in`` list match a cell as Python's ``in`` does, by identity or
+    equality, so a NaN matches only itself there and never under ``=``.
     """
     from adot.stores.relational import ResultSet, RowRef
 
@@ -324,7 +326,7 @@ def naive_exec(tables: dict, query) -> "ResultSet":
         joined = []
         for row, refs in relation:
             for rid, orow in enumerate(other.rows):
-                if row[li] is not None and orow[ri] is not None and row[li] == orow[ri]:
+                if row[li] is not None and orow[ri] is not None and (row[li] is orow[ri] or row[li] == orow[ri]):
                     joined.append((row + orow, refs + (RowRef(other.name, rid),)))
         relation = joined
 
@@ -332,7 +334,7 @@ def naive_exec(tables: dict, query) -> "ResultSet":
         if cell is None:
             return False
         if op == "in":
-            return any(cell == v for v in value if v is not None)
+            return any(cell is v or cell == v for v in value if v is not None)
         if value is None:
             return op == "!="
         return {

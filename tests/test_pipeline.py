@@ -461,7 +461,9 @@ def test_every_exit_keeps_its_result_fields(name):
     assert result.cache_strategy is None and result.lineage_path is None
 
 
-def test_lineage_file_closed_when_the_planner_raises(tmp_path, monkeypatch):
+@pytest.fixture
+def opened_logs(monkeypatch):
+    """Every LineageLog that ``answer_question`` opens, in order."""
     import adot.pipeline as pipeline_module
     from adot.lineage import LineageLog
 
@@ -472,11 +474,15 @@ def test_lineage_file_closed_when_the_planner_raises(tmp_path, monkeypatch):
             super().__init__(path)
             opened.append(self)
 
+    monkeypatch.setattr(pipeline_module, "LineageLog", RecordingLog)
+    return opened
+
+
+def test_lineage_file_closed_when_the_planner_raises(tmp_path, opened_logs):
     class FailingPlanner:
         def generate(self, question):
             raise RuntimeError("planner crashed")
 
-    monkeypatch.setattr(pipeline_module, "LineageLog", RecordingLog)
     pipeline = Pipeline(
         store=make_store("olympics"),
         config=PipelineConfig(lineage_path=str(tmp_path / "l.jsonl")),
@@ -484,7 +490,29 @@ def test_lineage_file_closed_when_the_planner_raises(tmp_path, monkeypatch):
     )
     with pytest.raises(RuntimeError):
         pipeline.answer_question("q")
-    (log,) = opened
+    (log,) = opened_logs
+    assert log._fh is None
+
+
+def test_unavailable_auditor_is_unrecoverable_with_no_repair_or_cache_insert(tmp_path, opened_logs):
+    from adot.validator import AuditorUnavailable
+
+    class DownAuditor:
+        def audit(self, plan, query, schema):
+            raise AuditorUnavailable("endpoint unreachable")
+
+    pipeline = Pipeline(
+        store=make_store("olympics"),
+        config=PipelineConfig(lineage_path=str(tmp_path / "l.jsonl")),
+        planner=ScriptedPlanner.from_file(FIXTURES / "olympics" / "script.json"),
+        auditor=DownAuditor(),
+    )
+    result = pipeline.answer_question(OLYMPICS_QUESTION)
+    assert result.status == "unrecoverable" and result.exit_code == 4
+    assert result.messages == ("auditor unavailable: endpoint unreachable",)
+    assert result.history == () and result.lineage.records == []
+    assert pipeline.cache.stats.insertions == 0
+    (log,) = opened_logs
     assert log._fh is None
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -280,6 +282,181 @@ def test_ill_typed_literal_raises_even_when_no_row_reaches_the_filter(people_tab
         for tables in (empty, people_table):
             with pytest.raises(TypeMismatchError):
                 exec_structured(tables, StructuredQuery(table="people", filters=filters))
+
+
+NAN = float("nan")  # one object, so a NaN cell and an `in` literal can be the same NaN
+
+
+def _edge_tables() -> dict[str, Table]:
+    def table(name: str, columns: tuple[tuple[str, str], ...], rows: list[tuple]) -> Table:
+        return Table(schema=TableSchema(name, tuple(Column(c, t) for c, t in columns)), rows=rows)
+
+    scores = [
+        (0, 1, 1.0),
+        (1, 2, NAN),
+        (2, None, True),
+        (3, 1, 1),
+        (4, 3, NAN),
+        (5, 2, float("nan")),  # a NaN that is not the NAN object
+        (6, 3, None),
+        (7, 1, 2.5),
+    ]
+    teams = [(2, "bo"), (1, "ann"), (None, "nul"), (2, "bo2"), (4, "dee")]
+    return {
+        "scores": table("scores", (("id", "int"), ("team", "int"), ("pts", "float")), scores),
+        "teams": table("teams", (("team", "int"), ("name", "text")), teams),
+    }
+
+
+_TEAMS = Join("teams", "team", "team")
+
+# case -> (filters, join, provenance row ids per result row, (table, column) indexes built)
+_INDEX_EDGE_CASES = {
+    "nan_literal_scans_and_matches_nothing": ((Filter("pts", "=", NAN),), None, [], set()),
+    "nan_in_list_matches_the_same_nan_object": ((Filter("pts", "in", [NAN]),), None, [(1,), (4,)], set()),
+    "other_nan_in_list_matches_no_nan_cell": (
+        (Filter("pts", "in", [float("nan"), 2.5]),), None, [(7,)], set()),
+    "int_literal_matches_float_and_true_cells": (
+        (Filter("pts", "=", 1),), None, [(0,), (2,), (3,)], {("scores", "pts")}),
+    "equals_null_matches_nothing": ((Filter("team", "=", None),), None, [], set()),
+    "in_list_with_duplicates": (
+        (Filter("team", "in", [3, 1, 3, 1.0]),), None, [(0,), (3,), (4,), (6,), (7,)], {("scores", "team")}),
+    "in_list_with_null_scans": ((Filter("team", "in", [None, 2]),), None, [(1,), (5,)], set()),
+    "empty_in_list": ((Filter("team", "in", []),), None, [], {("scores", "team")}),
+    "in_after_a_range_filter_scans_the_survivors": (
+        (Filter("id", "<=", 4), Filter("team", "in", [1, 3])), None, [(0,), (3,), (4,)], set()),
+    "range_after_a_probe_scans_the_bucket": (
+        (Filter("team", "=", 1), Filter("id", ">", 0)), None, [(3,), (7,)], {("scores", "team")}),
+    "join_without_right_filter_reads_the_key_index": (
+        (), _TEAMS, [(0, 1), (1, 0), (1, 3), (3, 1), (5, 0), (5, 3), (7, 1)], {("teams", "team")}),
+    "join_after_right_scan_hashes_the_survivors": (
+        (Filter("name", "!=", "bo"),), _TEAMS, [(0, 1), (1, 3), (3, 1), (5, 3), (7, 1)], set()),
+    "join_after_right_probe_hashes_the_survivors": (
+        (Filter("name", "in", ["bo2", "ann"]),), _TEAMS, [(0, 1), (1, 3), (3, 1), (5, 3), (7, 1)],
+        {("teams", "name")}),
+    "join_skips_a_null_left_key": (
+        (Filter("id", "in", [2, 3]),), _TEAMS, [(3, 1)], {("scores", "id"), ("teams", "team")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INDEX_EDGE_CASES))
+def test_index_probe_edge_cases_match_naive_oracle(case):
+    filters, join, expected, indexed = _INDEX_EDGE_CASES[case]
+    tables = _edge_tables()
+    query = StructuredQuery("scores", join=join, filters=filters)
+    result = exec_structured(tables, query)
+    assert result == naive_exec(tables, query)
+    assert [tuple(ref.row_id for ref in refs) for refs in result.provenance] == expected
+    built = {(t.name, t.schema.columns[col].name) for t in tables.values() for col in t._indexes}
+    assert built == indexed
+
+
+def _nan_cell(rng: Random, ctype: str):
+    if rng.random() < 0.15:
+        return None
+    if ctype == "float":
+        return rng.choice([rng.randint(-2, 2), rng.randint(-4, 4) / 2, NAN, True])
+    return _nan_literal(rng, ctype)
+
+
+def _nan_literal(rng: Random, ctype: str):
+    if ctype == "float":
+        return rng.choice([rng.randint(-2, 2), rng.randint(-4, 4) / 2, NAN, float("nan")])
+    if ctype == "int":
+        return rng.randint(-2, 2)
+    return rng.choice(["a", "b", "c"])
+
+
+def _equality_filter(rng: Random, column: str, ctype: str) -> Filter:
+    if rng.random() < 0.4:
+        return Filter(column, "=", None if rng.random() < 0.1 else _nan_literal(rng, ctype))
+    values = [_nan_literal(rng, ctype) for _ in range(rng.choice([0, 1, 2, 5]))]
+    values += rng.sample(values, len(values) // 2)  # duplicates
+    if rng.random() < 0.1:
+        values.append(None)
+    return Filter(column, "in", values)
+
+
+def test_exec_structured_matches_naive_oracle_when_equality_filters_come_first():
+    """Most sides start with `=`/`in`, so the index probe and the index join run.
+
+    Cells include nulls, `True` in float columns and NaN (both the shared
+    NAN object and others); literals include null, NAN and other NaNs.
+    """
+    rng = Random(16)
+    columns = {"l": (("k", "float"), ("t", "text"), ("f", "float")),
+               "r": (("k", "float"), ("name", "text"), ("n", "int"))}
+    seen: Counter = Counter()
+    for trial in range(600):
+        tables = {
+            name: Table(
+                schema=TableSchema(name, tuple(Column(c, t) for c, t in cols)),
+                rows=[tuple(_nan_cell(rng, t) for _, t in cols) for _ in range(rng.choice([0, 3, 12, 40]))],
+            )
+            for name, cols in columns.items()
+        }
+        join = Join("r", "k", "k") if rng.random() < 0.5 else None
+        sides = [dict(columns["l"])] + ([{"r.k": "float", "name": "text", "n": "int"}] if join else [])
+        typed = {c: t for side in sides for c, t in side.items()}
+        filters = [_equality_filter(rng, c, side[c]) for side in sides if rng.random() < 0.75
+                   for c in [rng.choice(sorted(side))]]
+        for c in rng.sample(sorted(typed), rng.randint(0, 2)):
+            filters.append(rng.choice([_random_filter, _equality_filter])(rng, c, typed[c]))
+        if rng.random() < 0.3:
+            func = rng.choice(["count", "min", "max"])
+            column = rng.choice(sorted(typed) + [None] * (func == "count"))
+            query = StructuredQuery("l", select=(), join=join, filters=tuple(filters),
+                                    aggregate=Aggregate(func, column),
+                                    group_by=tuple(rng.sample(sorted(typed), rng.randint(0, 2))))
+        else:
+            query = StructuredQuery("l", join=join, filters=tuple(filters))
+        result = exec_structured(tables, query)
+        assert result == naive_exec(tables, query), (trial, query)
+        seen["left_probe"] += bool(tables["l"]._indexes)
+        seen["right_probe"] += bool(set(tables["r"]._indexes) - {0})
+        seen["index_join"] += join is not None and not any(f.column in sides[1] for f in filters)
+        seen["nan_row"] += any(v is NAN for row in result.rows for v in row)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_concurrent_first_use_builds_a_column_index_once(monkeypatch):
+    from adot.stores import relational
+
+    builds = []
+    build = relational._build_index
+
+    def slow_build(rows, col):
+        builds.append(col)
+        time.sleep(0.05)  # hold the build open while the other thread arrives
+        return build(rows, col)
+
+    monkeypatch.setattr(relational, "_build_index", slow_build)
+    table = Table(TableSchema("t", (Column("id", "int"), Column("grp", "int"))), rows=[(i, i % 7) for i in range(2000)])
+    query = StructuredQuery("t", select=("id",), filters=(Filter("grp", "in", [3, 5]),))
+    barrier = threading.Barrier(2, timeout=5)
+    results = [None, None]
+
+    def run(i: int) -> None:
+        barrier.wait()
+        results[i] = exec_structured({"t": table}, query)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [1]
+    assert results[0] == results[1] == naive_exec({"t": table}, query)
+
+
+def test_table_rows_are_fixed_as_a_tuple_of_tuples():
+    table = Table(TableSchema("t", (Column("id", "int"), Column("name", "text"))), rows=[[1, "a"], (2, "b")])
+    assert table.rows == ((1, "a"), (2, "b"))
+    with pytest.raises(AttributeError):
+        table.rows.append((3, "c"))
+    with pytest.raises(AttributeError):
+        table.rows = ()
 
 
 def test_mini_language_parser_round_trip():
@@ -705,6 +882,22 @@ def test_cross_modal_round_trip(queensland_store):
     doc_idx = table.column_index("document_id")
     for row in table.rows:
         assert queensland_store.chunks_for_document(row[doc_idx])
+
+
+def test_rows_for_document_equals_a_scan_of_each_cross_link(olympics_store):
+    def scan(document_id):
+        out = []
+        for link in olympics_store.schema.cross_links:
+            table = olympics_store.tables[link.table_name]
+            idx = table.column_index(link.column_name)
+            out += [(table.name, rid) for rid, row in enumerate(table.rows) if row[idx] == document_id]
+        return out
+
+    for document_id in range(-1, 20):
+        assert olympics_store.rows_for_document(document_id) == scan(document_id)
+    assert olympics_store.rows_for_document(12) == [("athletes_1948", 0)]
+    assert olympics_store.rows_for_document(13) == [("athletes_1948", 1)]
+    assert olympics_store.rows_for_document(12.0) == [("athletes_1948", 0)]
 
 
 def test_persistence_round_trip(fixtures_dir, tmp_path):
