@@ -45,10 +45,11 @@ for name, doc in corruptions.items():
     with_fix = build_pipeline(doc, dataops=True).answer_question(QUESTION)
     without = build_pipeline(doc, dataops=False).answer_question(QUESTION)
     print(f"-- {name} --")
-    for record in with_fix.history:
-        print(f"  iteration {record.iteration}: {record.diagnosis_classes} -> {record.action_kind}")
-        if record.delta_summary:
-            print(f"      {record.delta_summary}")
+    dataops = [r for r in with_fix.lineage.records if r.kind == "dataops"]
+    for iteration, record in enumerate(dataops, start=1):
+        print(f"  iteration {iteration}: {record.extra['diagnoses']} -> {record.status}")
+        for message in record.extra["messages"]:
+            print(f"      {message}")
     print(f"  with remediation:    {with_fix.status}: {with_fix.final_answer}")
     print(f"  without remediation: {without.status}")
     print()

@@ -35,7 +35,6 @@ from .dataops import (
     DataOpsAction,
     Diagnosis,
     DiagnosisClass,
-    EditRecord,
     ExternalReplanner,
     NoOpReplanner,
     Replanner,
@@ -45,8 +44,6 @@ from .dataops import (
 from .executor import (
     Binding,
     CycleDetectedError,
-    EventKind,
-    ExecutionEvent,
     ExecutionFeedback,
     ExecutionResult,
     FeedbackClass,

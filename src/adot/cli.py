@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .adapters import ScriptedPlanner
 from .cache import CacheFileError, PlanCache
-from .lineage import LineageIOError, trace_answer
+from .lineage import LineageIOError, MissingRecordError, trace_answer
 from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
 from .plan_ir import ParseError, Plan, parse_plan
 from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, IngestError, ingest
@@ -22,8 +22,9 @@ from .stores.store import load_store
 from .validator import validate_plan
 
 
-def _print_event(event) -> None:
-    print(json.dumps(event.to_json()), flush=True)
+def _print_record(record) -> None:
+    """One lineage record as the lineage file holds it."""
+    print(json.dumps(record.to_json()), flush=True)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -81,7 +82,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         replanner=args.replanner,
     )
     pipeline = Pipeline(store=store, config=config, planner=ScriptedPlanner({question: plan_text}))
-    result = pipeline.answer_question(question, on_event=_print_event if args.stream else None)
+    result = pipeline.answer_question(question, on_record=_print_record if args.stream else None)
     if result.final_answer:
         print(result.final_answer)
     for message in result.messages:
@@ -115,9 +116,7 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         cache_enabled=False if args.no_cache else None,
     )
     pipeline = Pipeline.from_config(config)
-    result = pipeline.answer_question(
-        args.question, on_event=_print_event if args.stream else None
-    )
+    result = pipeline.answer_question(args.question, on_record=_print_record if args.stream else None)
     if result.final_answer:
         print(result.final_answer)
     if result.status != "ok":
@@ -237,8 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, LineageIOError) as exc:  # bad input: a message, not a traceback
-        print(f"adot: {exc}", file=sys.stderr)
+    except (ValueError, OSError, LineageIOError, MissingRecordError) as exc:
+        print(f"adot: {exc}", file=sys.stderr)  # bad input: a message, not a traceback
         return 2
 
 

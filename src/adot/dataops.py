@@ -57,14 +57,6 @@ class Diagnosis:
 
 
 @dataclass(frozen=True)
-class EditRecord:
-    iteration: int
-    diagnosis_classes: tuple[str, ...]
-    action_kind: str
-    delta_summary: str
-
-
-@dataclass(frozen=True)
 class DataOpsAction:
     kind: ActionKind
     messages: tuple[str, ...] = ()
@@ -276,19 +268,19 @@ class ExternalReplanner:
 def remediate(
     plan: Plan,
     schema: GlobalSchema,
-    history: Sequence[EditRecord],
+    attempts: int,
     diagnoses: Sequence[Diagnosis],
     replanner: Replanner | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> DataOpsAction:
-    """Route diagnoses to an action.
+    """Route diagnoses to an action, after ``attempts`` earlier remediations of the plan.
 
     Infrastructure faults produce a recommendation (no plan edit); anything
     with an applicable fix rule produces a pre-validated Fix; the rest goes
     to the replanner, and when it offers nothing the loop aborts. A Fix
     never adds or removes nodes and never touches executed nodes' outputs.
     """
-    if len(history) >= max_iterations:
+    if attempts >= max_iterations:
         return DataOpsAction(
             kind=ActionKind.ABORT,
             messages=(f"remediation budget of {max_iterations} iterations exhausted",),

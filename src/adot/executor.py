@@ -1,11 +1,13 @@
-"""Topological wave execution with variable slimming and event streaming.
+"""Topological wave execution with variable slimming.
 
 Nodes whose dependencies are all satisfied form a wave; a wave's nodes run
-concurrently on a thread pool while all bookkeeping (bindings, lineage,
-events) happens on the coordinating thread in node order, which keeps runs
+concurrently on a thread pool while all bookkeeping (bindings, lineage
+records) happens on the coordinating thread in node order, which keeps runs
 deterministic regardless of parallelism. A failed node fails alone: its
 dependents are skipped, sibling branches keep running, and the failure is
-returned as structured feedback for the remediation loop.
+returned as structured feedback for the remediation loop. The lineage log
+is the only record of a run; a caller that wants it live passes
+``lineage=LineageLog(on_record=...)``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from .adapters import (
@@ -47,23 +48,6 @@ logger = logging.getLogger(__name__)
 MAX_PARALLEL_CAP = 8
 INLINE_VALUE_LIMIT = 100
 DEFAULT_NODE_TIMEOUT = 30.0
-
-
-class EventKind(str, Enum):
-    PARTIAL_ANSWER = "PartialAnswer"
-    NODE_COMPLETED = "NodeCompleted"
-    NODE_FAILED = "NodeFailed"
-    PLAN_COMPLETED = "PlanCompleted"
-
-
-@dataclass(frozen=True)
-class ExecutionEvent:
-    kind: EventKind
-    node_index: int | None
-    payload: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind.value, "node_index": self.node_index, "payload": dict(self.payload)}
 
 
 @dataclass(frozen=True)
@@ -278,7 +262,6 @@ class ExecutionResult:
     final_answer: str | None
     answers: tuple[tuple[str, Any], ...]
     feedback: tuple[ExecutionFeedback, ...]
-    events: tuple[ExecutionEvent, ...]
     bindings: dict[str, Binding]
     plan_after: Plan
     skipped: tuple[int, ...]
@@ -305,7 +288,6 @@ def execute_plan(
     max_parallel: int | None = None,
     node_timeout: float = DEFAULT_NODE_TIMEOUT,
     lineage: LineageLog | None = None,
-    on_event: Callable[[ExecutionEvent], None] | None = None,
     initial_bindings: Mapping[str, Binding] | None = None,
 ) -> ExecutionResult:
     """Run a validated plan to completion.
@@ -317,6 +299,9 @@ def execute_plan(
     ``max_parallel`` defaults to the widest wave, capped at 8. A node that
     runs longer than ``node_timeout`` seconds fails as a timeout; its
     worker is abandoned, never waited for, so the call returns on time.
+    The ``ok`` record of an exposing node carries its partial answer:
+    ``answer_value_sample`` in ``output_summary`` and ``answer_description``
+    in ``extra``.
     """
     log = lineage if lineage is not None else LineageLog()
     if adapters is None:
@@ -335,15 +320,8 @@ def execute_plan(
 
     bindings: dict[str, Binding] = dict(initial_bindings or {})
     feedback: list[ExecutionFeedback] = []
-    events: list[ExecutionEvent] = []
     failed: set[int] = set()
     skipped: set[int] = set()
-
-    def emit(kind: EventKind, node_index: int | None, payload: dict) -> None:
-        event = ExecutionEvent(kind=kind, node_index=node_index, payload=payload)
-        events.append(event)
-        if on_event is not None:
-            on_event(event)
 
     def record(index: int, status: str, rq: ResolvedSubQuery | None = None, **fields: Any) -> None:
         """Append the lineage record of one node outcome (ok, failed or skipped)."""
@@ -378,8 +356,6 @@ def execute_plan(
         )
         record(index, "failed", rq, error_class=error.klass.value, wall_ms=elapsed_ms,
                output_summary={"answer_value": answer_value} if answer_value is not None else {})
-        emit(EventKind.NODE_FAILED, index,
-             {"label": nodes[index].label, "error_class": error.klass.value, "message": error.message})
 
     def run_node(index: int) -> tuple[ResolvedSubQuery | None, AdapterOutcome, float]:
         """(resolved sub-question, outcome, elapsed ms); a raised exception becomes the outcome's error."""
@@ -449,19 +425,9 @@ def execute_plan(
                 summary, provenance = summarize_result(outcome.result)
                 if outcome.answer_value is not None:
                     summary["answer_value_sample"] = render_value(outcome.answer_value)[:200]
-                record(i, "ok", rq, label=label, output_summary=summary,
-                       provenance_refs=provenance, wall_ms=elapsed)
-                emit(EventKind.NODE_COMPLETED, i, {"label": label, "summary": summary})
-                if node.exposes:
-                    emit(
-                        EventKind.PARTIAL_ANSWER,
-                        i,
-                        {
-                            "label": label,
-                            "answer_description": node.answer_description,
-                            "value": outcome.answer_value,
-                        },
-                    )
+                record(i, "ok", rq, label=label, output_summary=summary, provenance_refs=provenance,
+                       wall_ms=elapsed,
+                       extra={"answer_description": node.answer_description} if node.exposes else {})
     finally:
         # Join the workers, unless one timed out: it may still be running, and
         # waiting for it would stretch the call past node_timeout. (Never
@@ -490,16 +456,10 @@ def execute_plan(
             },
         )
     )
-    emit(
-        EventKind.PLAN_COMPLETED,
-        None,
-        {"final_answer": final_answer, "failed": sorted(failed), "skipped": sorted(skipped)},
-    )
     return ExecutionResult(
         final_answer=final_answer,
         answers=exposed,
         feedback=tuple(feedback),
-        events=tuple(events),
         bindings=bindings,
         plan_after=plan_after,
         skipped=tuple(sorted(skipped)),

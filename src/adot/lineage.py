@@ -14,7 +14,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .stores.relational import ChunkRef, ResultSet, RowRef, ref_from_json
 from .stores.vector import ChunkHit
@@ -28,6 +28,9 @@ class LineageIOError(RuntimeError):
 
 class MissingRecordError(KeyError):
     """The lineage file lacks a record the trace needs (truncated file?)."""
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,16 @@ class LineageRecord:
 
 
 class LineageLog:
-    """Linearizable append log; optionally mirrored to a JSONL file."""
+    """Linearizable append log; optionally mirrored to a JSONL file.
 
-    def __init__(self, path: str | Path | None = None):
+    ``on_record`` sees each stamped record as it is appended, under the
+    log's lock, so a live stream arrives in ``seq`` order.
+    """
+
+    def __init__(self, path: str | Path | None = None,
+                 on_record: Callable[[LineageRecord], None] | None = None):
         self.path = Path(path) if path is not None else None
+        self.on_record = on_record
         self.records: list[LineageRecord] = []
         self._lock = threading.Lock()
         self._seq = 0
@@ -134,6 +143,8 @@ class LineageLog:
                     self._fh.flush()
                 except OSError as exc:
                     raise LineageIOError(str(exc)) from exc
+            if self.on_record is not None:
+                self.on_record(stamped)
             return self._seq
 
     def close(self) -> None:
@@ -143,14 +154,22 @@ class LineageLog:
 
 
 def read_lineage(path: str | Path) -> list[LineageRecord]:
+    """The records of a lineage file; a line that is not a record names the file and line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise LineageIOError(str(exc)) from exc
     records = []
-    for line in text.splitlines():
-        if line.strip():
-            records.append(LineageRecord.from_json(json.loads(line)))
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict) or "kind" not in obj or "seq" not in obj:
+                raise ValueError("not a lineage record (an object with 'kind' and 'seq')")
+            records.append(LineageRecord.from_json(obj))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise LineageIOError(f"{path}: line {number}: {exc}") from None
     return records
 
 

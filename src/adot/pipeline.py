@@ -29,18 +29,13 @@ from .cache import CacheFileError, PlanCache
 from .dataops import (
     ActionKind,
     DEFAULT_MAX_ITERATIONS,
-    EditRecord,
     ExternalReplanner,
     NoOpReplanner,
     Replanner,
     diagnose,
     remediate,
 )
-from .executor import (
-    ExecutionEvent,
-    execute_plan,
-    make_default_adapters,
-)
+from .executor import execute_plan, make_default_adapters
 from .lineage import LineageLog, LineageRecord
 from .plan_ir import Context, NodeStatus, Plan
 from .stores.store import Store, load_store
@@ -180,14 +175,11 @@ class PipelineResult:
     status: str  # ok | execution_failed | unrecoverable | no_plan
     final_answer: str | None = None
     answers: tuple = ()
-    events: tuple = ()
     feedback: tuple = ()
-    history: tuple = ()
     messages: tuple = ()
     plan: Plan | None = None
     cache_strategy: str | None = None
     lineage: LineageLog | None = None
-    lineage_path: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -265,17 +257,17 @@ class Pipeline:
     def answer_question(
         self,
         question: str,
-        on_event: Callable[[ExecutionEvent], None] | None = None,
+        on_record: Callable[[LineageRecord], None] | None = None,
     ) -> PipelineResult:
+        """Answer one question; ``on_record`` sees each lineage record as it is written."""
         cfg = self.config
         signature = self.store.signature
         context = cfg.context
-        history: list[EditRecord] = []
-        events: list[ExecutionEvent] = []
         items: list = []
         plan = cache_strategy = exec_result = None
         status, messages = "no_plan", ()
-        lineage = LineageLog(cfg.lineage_path)
+        attempts = 0
+        lineage = LineageLog(cfg.lineage_path, on_record=on_record)
         try:
             try:
                 plan, cache_strategy = self._obtain_plan(question, signature, context, lineage)
@@ -296,6 +288,10 @@ class Pipeline:
                         except AuditorUnavailable as exc:
                             status, messages = "unrecoverable", (f"auditor unavailable: {exc}",)
                             break
+                        except Exception as exc:  # an auditor bug ends the answer, not the caller
+                            status = "unrecoverable"
+                            messages = (f"auditor failed: {type(exc).__name__}: {exc}",)
+                            break
                     if items:
                         status = "unrecoverable"
                     else:
@@ -306,10 +302,8 @@ class Pipeline:
                             max_parallel=cfg.max_parallel,
                             node_timeout=cfg.node_timeout,
                             lineage=lineage,
-                            on_event=on_event,
                             initial_bindings=bindings,
                         )
-                        events.extend(exec_result.events)
                         bindings = dict(exec_result.bindings)
                         plan = exec_result.plan_after
                         items = list(exec_result.feedback)
@@ -323,17 +317,10 @@ class Pipeline:
                         break
                     diagnoses = diagnose(items)
                     action = remediate(
-                        plan, self.store.schema, history, diagnoses,
+                        plan, self.store.schema, attempts, diagnoses,
                         replanner=self.replanner, max_iterations=cfg.max_fix_iterations,
                     )
-                    history.append(
-                        EditRecord(
-                            iteration=len(history) + 1,
-                            diagnosis_classes=tuple(d.error_class.value for d in diagnoses),
-                            action_kind=action.kind.value,
-                            delta_summary="; ".join(action.messages),
-                        )
-                    )
+                    attempts += 1
                     self._record_dataops(lineage, action, diagnoses)
                     if action.kind not in (ActionKind.FIX, ActionKind.REPLAN):
                         messages = action.messages
@@ -350,14 +337,11 @@ class Pipeline:
             status=status,
             final_answer=exec_result.final_answer if exec_result else None,
             answers=exec_result.answers if status == "ok" else (),
-            events=tuple(events),
             feedback=tuple(items),
-            history=tuple(history),
             messages=messages,
             plan=plan,
             cache_strategy=cache_strategy,
             lineage=lineage,
-            lineage_path=cfg.lineage_path,
         )
 
     def _obtain_plan(

@@ -345,7 +345,7 @@ def test_acceptance_dataops_recovery():
         repaired = outcomes[True]
         assert repaired.status == "ok", (name, repaired.messages)
         assert "Willowbank" in repaired.final_answer, name
-        assert len(repaired.history) <= 2, name
+        assert sum(r.kind == "dataops" for r in repaired.lineage.records) <= 2, name
         failed = outcomes[False]
         assert failed.status != "ok", name  # 100% separation
 
@@ -364,7 +364,7 @@ def test_acceptance_dataops_recovery():
     )
     result = pipeline.answer_question(QLD_QUESTION)
     assert result.status == "unrecoverable"
-    assert len(result.history) <= 3
+    assert sum(r.kind == "dataops" for r in result.lineage.records) <= 3
     _report("dataops-recovery")
 
 

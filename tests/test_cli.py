@@ -59,9 +59,9 @@ def test_run_executes_plan(store_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Birth year of the athlete: 1920" in out
-    events = [json.loads(line) for line in out.strip().splitlines() if line.startswith("{")]
-    assert any(e["kind"] == "PartialAnswer" for e in events)
-    assert lineage.exists()
+    streamed = [line for line in out.splitlines() if line.startswith("{")]
+    assert streamed == lineage.read_text(encoding="utf-8").splitlines()
+    assert any("answer_description" in json.loads(line).get("extra", {}) for line in streamed)
 
     code = main(["trace", "--lineage", str(lineage), "--label", "$var_3"])
     closure = json.loads(capsys.readouterr().out)
@@ -231,6 +231,28 @@ def _missing_lineage(tmp_path, store_dir, monkeypatch):
     return ["trace", "--lineage", str(tmp_path / "missing.jsonl"), "--label", "$var_1"], "missing.jsonl"
 
 
+NODE_LINE = '{"seq": 1, "kind": "node", "status": "ok", "label": "$var_1"}\n'
+
+
+def _torn_lineage(tmp_path, store_dir, monkeypatch):
+    lineage = tmp_path / "torn.jsonl"
+    lineage.write_text(NODE_LINE + '{"seq": 2, "kind": "final", "output_summary": {"final_answer": "Bir',
+                       encoding="utf-8")
+    return ["trace", "--lineage", str(lineage), "--label", "$var_1"], f"{lineage}: line 2: Unterminated string"
+
+
+def _lineage_line_not_a_record(tmp_path, store_dir, monkeypatch):
+    lineage = tmp_path / "empty-object.jsonl"
+    lineage.write_text(NODE_LINE + "{}\n", encoding="utf-8")
+    return ["trace", "--lineage", str(lineage), "--label", "$var_1"], f"{lineage}: line 2: not a lineage record"
+
+
+def _label_not_in_lineage(tmp_path, store_dir, monkeypatch):
+    lineage = tmp_path / "lineage.jsonl"
+    lineage.write_text(NODE_LINE, encoding="utf-8")
+    return ["trace", "--lineage", str(lineage), "--label", "$var_9"], "adot: lineage has no node record for '$var_9'\n"
+
+
 def _unknown_config_key(tmp_path, store_dir, monkeypatch):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"top_k": 3, "slimming": False}))
@@ -238,6 +260,7 @@ def _unknown_config_key(tmp_path, store_dir, monkeypatch):
 
 
 @pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
+                                       _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
                                        _unknown_config_key],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys, monkeypatch):
@@ -246,3 +269,4 @@ def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("adot: ") and named in err
+    assert "Traceback" not in err

@@ -7,7 +7,6 @@ import pytest
 from adot.dataops import (
     ActionKind,
     DiagnosisClass,
-    EditRecord,
     NoOpReplanner,
     diagnose,
     levenshtein,
@@ -84,7 +83,7 @@ def remediate_once(plan, schema, replanner=None):
     report = validate_plan(plan, schema)
     assert not report.is_valid
     diagnoses = diagnose(list(report.errors))
-    return remediate(plan, schema, [], diagnoses, replanner=replanner)
+    return remediate(plan, schema, 0, diagnoses, replanner=replanner)
 
 
 def test_fix_bad_label(queensland_store):
@@ -159,7 +158,7 @@ def test_off_by_one_self_loop_escalates_to_abort(queensland_store):
 
 def test_infrastructure_down_routes_to_recommend(queensland_store, queensland_plan):
     diagnoses = diagnose([feedback(FeedbackClass.STORE_ERROR, infra=True)])
-    action = remediate(queensland_plan, queensland_store.schema, [], diagnoses)
+    action = remediate(queensland_plan, queensland_store.schema, 0, diagnoses)
     assert action.kind is ActionKind.RECOMMEND
     assert action.plan is None
     assert action.messages
@@ -167,7 +166,7 @@ def test_infrastructure_down_routes_to_recommend(queensland_store, queensland_pl
 
 def test_subquery_failure_goes_to_replan_then_abort_by_default(queensland_store, queensland_plan):
     diagnoses = diagnose([feedback(FeedbackClass.NO_MATCH)])
-    action = remediate(queensland_plan, queensland_store.schema, [], diagnoses, replanner=NoOpReplanner())
+    action = remediate(queensland_plan, queensland_store.schema, 0, diagnoses, replanner=NoOpReplanner())
     assert action.kind is ActionKind.ABORT
 
 
@@ -177,7 +176,7 @@ def test_replanner_plan_is_used(queensland_store, queensland_plan):
             return queensland_plan
 
     diagnoses = diagnose([feedback(FeedbackClass.NO_MATCH)])
-    action = remediate(queensland_plan, queensland_store.schema, [], diagnoses, replanner=CannedReplanner())
+    action = remediate(queensland_plan, queensland_store.schema, 0, diagnoses, replanner=CannedReplanner())
     assert action.kind is ActionKind.REPLAN
     assert action.plan == queensland_plan
 
@@ -199,9 +198,8 @@ def test_external_replanner_subprocess(tmp_path, queensland_store, queensland_pl
 
 
 def test_budget_exhaustion_aborts_with_history(queensland_store, queensland_plan):
-    history = [EditRecord(i, ("Unknown",), "replan", "try") for i in (1, 2, 3)]
     diagnoses = diagnose([feedback(FeedbackClass.NO_MATCH)])
-    action = remediate(queensland_plan, queensland_store.schema, history, diagnoses, max_iterations=3)
+    action = remediate(queensland_plan, queensland_store.schema, 3, diagnoses, max_iterations=3)
     assert action.kind is ActionKind.ABORT
     assert "budget" in action.messages[0]
 
@@ -216,7 +214,7 @@ def test_fix_safety_structure_and_executed_outputs(queensland_store):
         report = validate_plan(plan, queensland_store.schema)
         if report.is_valid:
             continue  # corruption sat on the now-executed node; nothing to fix
-        action = remediate(plan, queensland_store.schema, [], diagnose(list(report.errors)))
+        action = remediate(plan, queensland_store.schema, 0, diagnose(list(report.errors)))
         if action.kind is not ActionKind.FIX:
             continue
         fixed = action.plan
@@ -235,8 +233,8 @@ def test_routing_determinism(queensland_store):
     plan = parse_doc(seeded_corruptions()["SchemaDrift"])
     report = validate_plan(plan, queensland_store.schema)
     diagnoses = diagnose(list(report.errors))
-    a = remediate(plan, queensland_store.schema, [], diagnoses)
-    b = remediate(plan, queensland_store.schema, [], diagnoses)
+    a = remediate(plan, queensland_store.schema, 0, diagnoses)
+    b = remediate(plan, queensland_store.schema, 0, diagnoses)
     assert a == b
 
 
@@ -245,7 +243,7 @@ def test_fixed_plans_execute_successfully(queensland_store):
         plan = parse_doc(doc)
         report = validate_plan(plan, queensland_store.schema)
         assert not report.is_valid, name
-        action = remediate(plan, queensland_store.schema, [], diagnose(list(report.errors)))
+        action = remediate(plan, queensland_store.schema, 0, diagnose(list(report.errors)))
         assert action.kind is ActionKind.FIX, name
         result = execute_plan(action.plan, queensland_store)
         assert result.ok, (name, result.feedback)

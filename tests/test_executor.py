@@ -11,7 +11,6 @@ from adot.adapters import AdapterOutcome, ResolvedSubQuery
 from adot.executor import (
     Binding,
     CycleDetectedError,
-    EventKind,
     FeedbackClass,
     MissingKeyError,
     NoExposedResultsError,
@@ -23,6 +22,7 @@ from adot.executor import (
     synthesize_answer,
     topological_waves,
 )
+from adot.lineage import LineageLog
 from adot.plan_ir import NodeStatus, Tool
 from adot.stores.ingest import build_store
 from adot.stores.relational import ResultSet, RowRef
@@ -409,25 +409,29 @@ def test_parallel_equals_sequential_on_random_dags():
         assert len(a.bindings) == len(plan.subquestions)
 
 
-def test_event_ordering_properties():
+def test_record_ordering_properties():
+    from adot.plan_ir import build_dependency_graph
+
     rng = Random(31)
     for _ in range(50):
         doc = random_valid_plan_doc(rng, max_nodes=6)
         plan = parse_doc(doc)
-        result = execute_plan(plan, adapters=simulated_adapters(), max_parallel=3)
-        kinds = [e.kind for e in result.events]
-        assert kinds[-1] is EventKind.PLAN_COMPLETED
-        completed_pos = {
-            e.node_index: i for i, e in enumerate(result.events) if e.kind is EventKind.NODE_COMPLETED
-        }
-        partial_pos = [i for i, e in enumerate(result.events) if e.kind is EventKind.PARTIAL_ANSWER]
-        assert all(p < len(result.events) - 1 for p in partial_pos)
-        from adot.plan_ir import build_dependency_graph
-
+        seen = []
+        result = execute_plan(plan, adapters=simulated_adapters(), max_parallel=3,
+                              lineage=LineageLog(on_record=seen.append))
+        assert seen == list(result.lineage.records)
+        assert [r.seq for r in seen] == list(range(1, len(seen) + 1))
+        assert [r.kind for r in seen] == ["node"] * len(plan.subquestions) + ["final"]
+        position = {r.node_index: i for i, r in enumerate(seen) if r.kind == "node"}
         graph = build_dependency_graph(plan)
         for u, deps in graph.items():
             for v in deps:
-                assert completed_pos[v] < completed_pos[u]
+                assert position[v] < position[u]
+        exposing = {sq.index for sq in plan.subquestions if sq.exposes}
+        assert {r.node_index for r in seen if "answer_description" in r.extra} == exposing
+        wave_of = {i: w for w, wave in enumerate(topological_waves(plan)) for i in wave}
+        for e in exposing:
+            assert all(position[e] < position[j] for j in position if wave_of[j] > wave_of[e])
 
 
 def test_partial_answer_streamed_before_later_waves(olympics_store, fixtures_dir):
@@ -435,13 +439,14 @@ def test_partial_answer_streamed_before_later_waves(olympics_store, fixtures_dir
     doc["subquestions"][0]["should_expose_answer"] = True
     doc["subquestions"][0]["answer_description"] = "Event document id"
     plan = parse_doc(doc)
+    assert topological_waves(plan) == [[1], [2], [3]]
     seen = []
-    execute_plan(plan, olympics_store, on_event=lambda e: seen.append(e))
-    first_partial = next(i for i, e in enumerate(seen) if e.kind is EventKind.PARTIAL_ANSWER)
-    later_completion = [
-        i for i, e in enumerate(seen) if e.kind is EventKind.NODE_COMPLETED and e.node_index in (2, 3)
-    ]
-    assert first_partial < min(later_completion)
+    execute_plan(plan, olympics_store, lineage=LineageLog(on_record=seen.append))
+    first_partial = next(i for i, r in enumerate(seen) if "answer_description" in r.extra)
+    assert seen[first_partial].extra["answer_description"] == "Event document id"
+    assert seen[first_partial].output_summary["answer_value_sample"]
+    later_waves = [i for i, r in enumerate(seen) if r.kind == "node" and r.node_index in (2, 3)]
+    assert first_partial < min(later_waves)
 
 
 def test_resume_with_missing_binding_yields_feedback():

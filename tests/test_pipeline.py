@@ -34,6 +34,21 @@ def fixture_pipeline(fixture: str, question: str, **config_overrides) -> Pipelin
     return Pipeline(store=store, config=PipelineConfig(**config_overrides), planner=planner)
 
 
+def dataops_records(result) -> list:
+    return [r for r in result.lineage.records if r.kind == "dataops"]
+
+
+def lineage_content(result) -> list[dict]:
+    """The lineage records without the per-run fields."""
+    out = []
+    for record in result.lineage.records:
+        obj = record.to_json()
+        for volatile in ("seq", "started", "finished", "wall_ms"):
+            obj.pop(volatile, None)
+        out.append(obj)
+    return out
+
+
 def test_golden_path_end_to_end():
     pipeline = olympics_pipeline()
     result = pipeline.answer_question(OLYMPICS_QUESTION)
@@ -84,7 +99,7 @@ def test_smoky_retrieval_miss_yields_subquery_failure():
     assert result.status == "execution_failed"
     assert result.exit_code == 3
     assert any(f.error_class.value == "NoMatch" for f in result.feedback)
-    assert any("SubqueryFailure" in rec.diagnosis_classes for rec in result.history)
+    assert any("SubqueryFailure" in rec.extra["diagnoses"] for rec in dataops_records(result))
 
 
 def test_dataops_repairs_seeded_corruption_but_off_fails():
@@ -103,7 +118,7 @@ def test_dataops_repairs_seeded_corruption_but_off_fails():
             if dataops_on:
                 assert result.status == "ok", (name, result.messages)
                 assert "Willowbank" in result.final_answer
-                assert len(result.history) <= 2
+                assert len(dataops_records(result)) <= 2
             else:
                 assert result.status == "unrecoverable", name
                 assert result.exit_code == 4
@@ -122,7 +137,7 @@ def test_pipeline_is_deterministic_across_fresh_instances():
     b = olympics_pipeline().answer_question(OLYMPICS_QUESTION)
     assert a.final_answer == b.final_answer
     assert a.status == b.status
-    assert [e.to_json() for e in a.events] == [e.to_json() for e in b.events]
+    assert lineage_content(a) == lineage_content(b)
 
 
 def test_lineage_file_written_and_traceable(tmp_path):
@@ -155,12 +170,23 @@ def test_cache_lineage_record_on_hit(tmp_path):
     assert records[0].extra["strategy"] == "exact"
 
 
-def test_events_streamed_through_callback():
-    pipeline = olympics_pipeline()
+def test_records_streamed_through_callback(tmp_path):
+    """The stream is the lineage, in seq order, cache and dataops records included."""
+    from plangen import seeded_corruptions
+
+    store = make_store("queensland")
+    config = PipelineConfig(max_parallel=3, audit=False, lineage_path=str(tmp_path / "l.jsonl"))
+    pipeline = Pipeline(store=store, config=config)
+    broken = parse_plan(json.dumps(seeded_corruptions()["BadLabelFormat"]))
+    pipeline.cache.insert(QLD_QUESTION, store.signature, config.context, broken)
     seen = []
-    result = pipeline.answer_question(OLYMPICS_QUESTION, on_event=seen.append)
-    assert [e.to_json() for e in seen] == [e.to_json() for e in result.events]
-    assert seen[-1].kind.value == "PlanCompleted"
+    result = pipeline.answer_question(QLD_QUESTION, on_record=seen.append)
+    assert result.status == "ok" and result.cache_strategy == "exact"
+    assert seen == list(result.lineage.records) == read_lineage(tmp_path / "l.jsonl")
+    assert [r.seq for r in seen] == list(range(1, len(seen) + 1))
+    assert [(r.kind, r.status) for r in seen] == [
+        ("cache", "hit"), ("dataops", "fix"), ("node", "ok"), ("node", "ok"), ("final", "ok"),
+    ]
 
 
 def test_cache_file_persists_across_pipelines(tmp_path):
@@ -328,11 +354,11 @@ def test_runtime_fix_resumes_from_unexecuted_nodes():
     assert "Willowbank" in result.final_answer
     assert calls[1] == 1  # the executed vector node was not re-run
     assert calls[2] == 2  # failed once, re-ran after the replan
-    assert any(rec.action_kind == "replan" for rec in result.history)
-    # events accumulate across both execution passes
-    kinds = [e.kind.value for e in result.events]
-    assert kinds.count("PlanCompleted") == 2
-    assert "NodeFailed" in kinds
+    assert any(rec.status == "replan" for rec in dataops_records(result))
+    # records accumulate across both execution passes
+    records = result.lineage.records
+    assert sum(r.kind == "final" for r in records) == 2
+    assert any(r.kind == "node" and r.status == "failed" for r in records)
 
 
 def test_context_participates_in_cache_key():
@@ -403,39 +429,39 @@ PINNED_EXITS = {
     "ok": (_exit_ok, dict(
         status="ok", final_answer="Birth year of the athlete: 1920",
         answers=(("Birth year of the athlete", "1920"),),
-        events=["NodeCompleted", "NodeCompleted", "NodeCompleted", "PartialAnswer", "PlanCompleted"],
+        partial_answers=[("$var_3", "Birth year of the athlete", "1920")],
         feedback=[], history=[], messages=(), plan=True,
         lineage=[("node", "ok"), ("node", "ok"), ("node", "ok"), ("final", "ok")],
     )),
     "no_plan_miss": (_exit_no_plan_miss, dict(
-        status="no_plan", final_answer=None, answers=(), events=[], feedback=[], history=[],
+        status="no_plan", final_answer=None, answers=(), partial_answers=[], feedback=[], history=[],
         messages=("no plan available for this question",), plan=False, lineage=[],
     )),
     "no_plan_no_planner": (_exit_no_plan_no_planner, dict(
-        status="no_plan", final_answer=None, answers=(), events=[], feedback=[], history=[],
+        status="no_plan", final_answer=None, answers=(), partial_answers=[], feedback=[], history=[],
         messages=("no planner configured",), plan=False, lineage=[],
     )),
     "unrecoverable_dataops_off": (_exit_unrecoverable_dataops_off, dict(
-        status="unrecoverable", final_answer=None, answers=(), events=[], feedback=["BadLabel"],
+        status="unrecoverable", final_answer=None, answers=(), partial_answers=[], feedback=["BadLabel"],
         history=[], messages=("node 1: label '$v1' must be '$var_1'",), plan=True, lineage=[],
     )),
     "execution_failed_dataops_off": (_exit_execution_failed_dataops_off, dict(
-        status="execution_failed", final_answer=None, answers=(), events=["NodeFailed", "PlanCompleted"],
+        status="execution_failed", final_answer=None, answers=(), partial_answers=[],
         feedback=["NoMatch"], history=[], messages=("no chunk matches the question",), plan=True,
         lineage=[("node", "failed"), ("node", "skipped"), ("final", "failed")],
     )),
     "execution_failed_after_abort": (_exit_execution_failed_after_abort, dict(
-        status="execution_failed", final_answer=None, answers=(), events=["NodeFailed", "PlanCompleted"],
-        feedback=["NoMatch"], history=[(1, ("SubqueryFailure",), "abort", ABORT_MESSAGE)],
+        status="execution_failed", final_answer=None, answers=(), partial_answers=[],
+        feedback=["NoMatch"], history=[("abort", ("SubqueryFailure",), (ABORT_MESSAGE,))],
         messages=(ABORT_MESSAGE,), plan=True,
         lineage=[("node", "failed"), ("node", "skipped"), ("final", "failed"), ("dataops", "abort")],
     )),
     "unrecoverable_budget": (_exit_unrecoverable_budget, dict(
-        status="unrecoverable", final_answer=None, answers=(), events=[], feedback=["UnknownColumn"],
+        status="unrecoverable", final_answer=None, answers=(), partial_answers=[], feedback=["UnknownColumn"],
         history=[
-            (1, ("SchemaDrift",), "replan", "replanned"),
-            (2, ("SchemaDrift",), "replan", "replanned"),
-            (3, ("SchemaDrift",), "abort", BUDGET_MESSAGE),
+            ("replan", ("SchemaDrift",), ("replanned",)),
+            ("replan", ("SchemaDrift",), ("replanned",)),
+            ("abort", ("SchemaDrift",), (BUDGET_MESSAGE,)),
         ],
         messages=(BUDGET_MESSAGE,), plan=True,
         lineage=[("dataops", "replan"), ("dataops", "replan"), ("dataops", "abort")],
@@ -451,14 +477,18 @@ def test_every_exit_keeps_its_result_fields(name):
         status=result.status,
         final_answer=result.final_answer,
         answers=result.answers,
-        events=[e.kind.value for e in result.events],
+        partial_answers=[
+            (r.label, r.extra["answer_description"], r.output_summary["answer_value_sample"])
+            for r in result.lineage.records if r.kind == "node" and "answer_description" in r.extra
+        ],
         feedback=[getattr(f, "code", None) or f.error_class for f in result.feedback],
-        history=[(h.iteration, h.diagnosis_classes, h.action_kind, h.delta_summary) for h in result.history],
+        history=[(r.status, tuple(r.extra["diagnoses"]), tuple(r.extra["messages"]))
+                 for r in dataops_records(result)],
         messages=result.messages,
         plan=result.plan is not None,
         lineage=[(r.kind, r.status) for r in result.lineage.records],
     ) == expected
-    assert result.cache_strategy is None and result.lineage_path is None
+    assert result.cache_strategy is None and result.lineage.path is None
 
 
 @pytest.fixture
@@ -470,8 +500,8 @@ def opened_logs(monkeypatch):
     opened = []
 
     class RecordingLog(LineageLog):
-        def __init__(self, path=None):
-            super().__init__(path)
+        def __init__(self, path=None, on_record=None):
+            super().__init__(path, on_record)
             opened.append(self)
 
     monkeypatch.setattr(pipeline_module, "LineageLog", RecordingLog)
@@ -510,7 +540,27 @@ def test_unavailable_auditor_is_unrecoverable_with_no_repair_or_cache_insert(tmp
     result = pipeline.answer_question(OLYMPICS_QUESTION)
     assert result.status == "unrecoverable" and result.exit_code == 4
     assert result.messages == ("auditor unavailable: endpoint unreachable",)
-    assert result.history == () and result.lineage.records == []
+    assert result.lineage.records == []
+    assert pipeline.cache.stats.insertions == 0
+    (log,) = opened_logs
+    assert log._fh is None
+
+
+def test_failing_auditor_is_unrecoverable_with_no_repair_or_cache_insert(tmp_path, opened_logs):
+    class BrokenAuditor:
+        def audit(self, plan, query, schema):
+            raise KeyError("schema")
+
+    pipeline = Pipeline(
+        store=make_store("olympics"),
+        config=PipelineConfig(lineage_path=str(tmp_path / "l.jsonl")),
+        planner=ScriptedPlanner.from_file(FIXTURES / "olympics" / "script.json"),
+        auditor=BrokenAuditor(),
+    )
+    result = pipeline.answer_question(OLYMPICS_QUESTION)
+    assert result.status == "unrecoverable" and result.exit_code == 4
+    assert result.messages == ("auditor failed: KeyError: 'schema'",)
+    assert result.lineage.records == []
     assert pipeline.cache.stats.insertions == 0
     (log,) = opened_logs
     assert log._fh is None
