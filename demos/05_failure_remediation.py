@@ -1,8 +1,9 @@
 """The diagnose -> fix -> revalidate loop repairing broken plans.
 
 Five corruption classes are each repaired by a conservative local edit;
-with remediation disabled the same plans simply fail. Infrastructure
-faults never edit the plan: they produce an escalation recommendation.
+with a remediation budget of 0 (DataOps off) the same plans simply fail.
+Infrastructure faults never edit the plan: they produce an escalation
+recommendation.
 """
 
 import copy
@@ -30,20 +31,20 @@ corruptions["misspelled column"]["subquestions"][1]["question"] = (
 )
 
 
-def build_pipeline(doc: dict, dataops: bool) -> Pipeline:
+def build_pipeline(doc: dict, max_fix_iterations: int) -> Pipeline:
     tables = load_tables(FIXTURES / "tables.json")
     docs = load_documents(FIXTURES / "docs.jsonl")
     store, _ = build_store(tables, docs)
     return Pipeline(
         store=store,
-        config=PipelineConfig(dataops=dataops, audit=False),
+        config=PipelineConfig(max_fix_iterations=max_fix_iterations, audit=False),
         planner=ScriptedPlanner({QUESTION: doc}),
     )
 
 
 for name, doc in corruptions.items():
-    with_fix = build_pipeline(doc, dataops=True).answer_question(QUESTION)
-    without = build_pipeline(doc, dataops=False).answer_question(QUESTION)
+    with_fix = build_pipeline(doc, max_fix_iterations=3).answer_question(QUESTION)
+    without = build_pipeline(doc, max_fix_iterations=0).answer_question(QUESTION)
     print(f"-- {name} --")
     dataops = [r for r in with_fix.lineage.records if r.kind == "dataops"]
     for iteration, record in enumerate(dataops, start=1):

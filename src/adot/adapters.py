@@ -242,15 +242,10 @@ def render_result(result: ResultSet) -> Any:
     return [list(row) for row in result.rows]
 
 
-def run_structured_adapter(
-    rq: ResolvedSubQuery,
-    store: Any,
-    translator: PatternTranslator | None = None,
-) -> AdapterOutcome:
+def run_structured_adapter(rq: ResolvedSubQuery, store: Any) -> AdapterOutcome:
     """Translate and execute a structured-tool sub-question."""
-    translator = translator or PatternTranslator()
     try:
-        query = translator.translate(rq, store.schema)
+        query = PatternTranslator().translate(rq, store.schema)
     except TranslationFailedError as exc:
         return AdapterOutcome(error=AdapterError(FeedbackClass.TRANSLATION_FAILED, str(exc)))
     try:
@@ -268,18 +263,13 @@ _FOUR_DIGITS = re.compile(r"\b(\d{4})\b")
 DEFAULT_REL_CUTOFF = 0.5
 
 
-def run_vector_adapter(
-    rq: ResolvedSubQuery,
-    index: VectorIndex,
-    k: int = DEFAULT_TOP_K,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> AdapterOutcome:
+def run_vector_adapter(rq: ResolvedSubQuery, index: VectorIndex, k: int = DEFAULT_TOP_K) -> AdapterOutcome:
     """Search the vector index for a vector-tool sub-question.
 
     Bound ``document_id`` values become a candidate filter. The adapter
-    keeps only hits scoring at least ``rel_cutoff`` of the best fused score
-    (and above zero), so trailing near-noise matches never leak into
-    downstream bindings. A result where every fused score is zero (or no
+    keeps only hits scoring at least ``DEFAULT_REL_CUTOFF`` of the best
+    fused score (and above zero), so trailing near-noise matches never leak
+    into downstream bindings. A result where every fused score is zero (or no
     candidate survives the filter) is a NoMatch: nothing in the index
     supports the question.
     """
@@ -292,7 +282,7 @@ def run_vector_adapter(
         return AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, str(exc), infrastructure=True))
 
     best = hits[0].fused_score if hits else 0.0
-    hits = [h for h in hits if h.fused_score > 0.0 and h.fused_score >= rel_cutoff * best]
+    hits = [h for h in hits if h.fused_score > 0.0 and h.fused_score >= DEFAULT_REL_CUTOFF * best]
     if not hits:
         return AdapterOutcome(
             error=AdapterError(FeedbackClass.NO_MATCH, "no chunk matches the question"),

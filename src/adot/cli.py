@@ -1,7 +1,8 @@
 """Command line surface: ingest, validate, run, ask, cache, trace.
 
-Exit codes: 0 ok, 2 invalid plan or bad input, 3 execution failure,
-4 unrecoverable.
+Exit codes: 0 ok, 2 bad input, 3 execution failure, 4 unrecoverable or
+no plan. A plan that fails validation and cannot be fixed exits 2 from
+``validate`` and ``run`` and 4 (unrecoverable) from ``ask``.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     store = load_store(args.store)
     config = PipelineConfig(
         store_dir=args.store,
-        max_parallel=1 if args.sequential else args.max_parallel,
+        max_parallel=args.max_parallel,
         max_fix_iterations=args.max_fix_iterations,
-        dataops=parse_bool(args.dataops),
         cache_enabled=False,
         audit=False,
         lineage_path=args.lineage,
@@ -102,16 +102,14 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         replanner=args.replanner,
         cache_file=args.cache_file,
         lineage_path=args.lineage,
-        max_parallel=1 if args.sequential else args.max_parallel,
+        max_parallel=args.max_parallel,
         max_fix_iterations=args.max_fix_iterations,
         tau=args.tau,
-        alpha=args.alpha,
         top_k=args.top_k,
         cache_capacity=args.cache_capacity,
         node_timeout=args.node_timeout,
         context_role=args.context_role,
         policy_flags=tuple(args.policy_flag or ()) or None,
-        dataops=parse_bool(args.dataops) if args.dataops else None,
         audit=parse_bool(args.audit) if args.audit else None,
         cache_enabled=False if args.no_cache else None,
     )
@@ -188,10 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--stream", action="store_true")
     p.add_argument("--max-parallel", type=int, default=None)
-    p.add_argument("--sequential", action="store_true")
     p.add_argument("--lineage", default=None)
-    p.add_argument("--dataops", default="on", choices=["on", "off"])
-    p.add_argument("--max-fix-iterations", type=int, default=3)
+    p.add_argument("--max-fix-iterations", type=int, default=3, help="0 turns DataOps off")
     p.add_argument("--replanner", default=None)
     p.set_defaults(func=_cmd_run)
 
@@ -206,12 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--lineage", default=None)
     p.add_argument("--max-parallel", type=int, default=None)
-    p.add_argument("--sequential", action="store_true")
-    p.add_argument("--max-fix-iterations", type=int, default=None)
-    p.add_argument("--dataops", default=None, choices=["on", "off"])
+    p.add_argument("--max-fix-iterations", type=int, default=None, help="0 turns DataOps off")
     p.add_argument("--audit", default=None, choices=["on", "off"])
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--top-k", type=int, default=None)
     p.add_argument("--cache-capacity", type=int, default=None)
     p.add_argument("--node-timeout", type=float, default=None)

@@ -22,10 +22,8 @@ from typing import Any, Callable, Mapping, Sequence
 from .adapters import (
     AdapterError,
     AdapterOutcome,
-    DEFAULT_REL_CUTOFF,
     DEFAULT_TOP_K,
     FeedbackClass,
-    PatternTranslator,
     ResolvedSubQuery,
     run_structured_adapter,
     run_vector_adapter,
@@ -91,15 +89,12 @@ class NoExposedResultsError(RuntimeError):
 AdapterFn = Callable[[ResolvedSubQuery], AdapterOutcome]
 
 
-def make_default_adapters(
-    store: Store,
-    k: int = DEFAULT_TOP_K,
-    translator: PatternTranslator | None = None,
-    rel_cutoff: float = DEFAULT_REL_CUTOFF,
-) -> dict[Tool, AdapterFn]:
+def make_default_adapters(store: Store, k: int = DEFAULT_TOP_K) -> dict[Tool, AdapterFn]:
+    # Each lambda looks its adapter up as a module global when called, so a
+    # wrapper installed on this module later still sees every call.
     return {
-        Tool.STRUCTURED: lambda rq: run_structured_adapter(rq, store, translator=translator),
-        Tool.VECTOR: lambda rq: run_vector_adapter(rq, store.index, k=k, rel_cutoff=rel_cutoff),
+        Tool.STRUCTURED: lambda rq: run_structured_adapter(rq, store),
+        Tool.VECTOR: lambda rq: run_vector_adapter(rq, store.index, k=k),
     }
 
 
@@ -335,8 +330,6 @@ def execute_plan(
                 question_resolved=rq.question_resolved if rq else None,
                 status=status,
                 input_labels=tuple(sorted({f"$var_{r.target_index}" for r in node.var_refs()})),
-                started=log.tick(),
-                finished=log.tick(),
                 **fields,
             )
         )

@@ -1,10 +1,10 @@
 """Append-only evidence trail for plan executions.
 
-One JSON line per record. Records carry logical ``started``/``finished``
-counters (deterministic across runs) plus ``wall_ms``, the node's elapsed
-time in milliseconds (for a timed-out node, the time waited for it),
-and enough structure (``input_labels``, ``provenance_refs``) to walk an
-answer back to the exact source rows and chunks that produced it.
+One JSON line per record. ``seq`` orders the records of a run; ``wall_ms``
+is a node's elapsed time in milliseconds (for a timed-out node, the time
+waited for it). Records carry enough structure (``input_labels``,
+``provenance_refs``) to walk an answer back to the exact source rows and
+chunks that produced it.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class LineageRecord:
     output_summary: Mapping[str, Any] = field(default_factory=dict)
     provenance_refs: tuple = ()
     input_labels: tuple[str, ...] = ()
-    started: int | None = None
-    finished: int | None = None
     wall_ms: float | None = None
     error_class: str | None = None
     extra: Mapping[str, Any] = field(default_factory=dict)
@@ -71,10 +69,6 @@ class LineageRecord:
             obj["provenance_refs"] = [r.to_json() for r in self.provenance_refs]
         if self.input_labels:
             obj["input_labels"] = list(self.input_labels)
-        if self.started is not None:
-            obj["started"] = self.started
-        if self.finished is not None:
-            obj["finished"] = self.finished
         if self.wall_ms is not None:
             obj["wall_ms"] = self.wall_ms
         if self.error_class is not None:
@@ -85,6 +79,8 @@ class LineageRecord:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "LineageRecord":
+        """Read a record; other keys, such as ``started`` and ``finished`` of
+        earlier files, are ignored."""
         return cls(
             kind=obj["kind"],
             seq=int(obj["seq"]),
@@ -96,8 +92,6 @@ class LineageRecord:
             output_summary=obj.get("output_summary", {}),
             provenance_refs=tuple(ref_from_json(r) for r in obj.get("provenance_refs", ())),
             input_labels=tuple(obj.get("input_labels", ())),
-            started=obj.get("started"),
-            finished=obj.get("finished"),
             wall_ms=obj.get("wall_ms"),
             error_class=obj.get("error_class"),
             extra=obj.get("extra", {}),
@@ -118,7 +112,6 @@ class LineageLog:
         self.records: list[LineageRecord] = []
         self._lock = threading.Lock()
         self._seq = 0
-        self._tick = 0
         self._fh = None
         if self.path is not None:
             try:
@@ -126,11 +119,6 @@ class LineageLog:
                 self._fh = self.path.open("w", encoding="utf-8")
             except OSError as exc:
                 raise LineageIOError(str(exc)) from exc
-
-    def tick(self) -> int:
-        with self._lock:
-            self._tick += 1
-            return self._tick
 
     def append(self, record: LineageRecord) -> int:
         with self._lock:

@@ -3,9 +3,10 @@
 ``Pipeline.answer_question`` drives one question through the full loop:
 cache lookup (hits still get validated), plan generation on a miss,
 structural validation plus the optional heuristic audit, the DataOps
-remediation loop on any failure (bounded by the iteration budget), wave
-execution with resume-from-unexecuted-nodes after runtime fixes, answer
-synthesis, and finally cache insertion of the validated plan.
+remediation loop on any failure (bounded by the iteration budget; a budget
+of 0 turns it off), wave execution with resume-from-unexecuted-nodes after
+runtime fixes, answer synthesis, and finally cache insertion of the
+validated plan.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Any, Callable, Mapping
 
 from .adapters import (
     ExternalPlanner,
-    PatternTranslator,
     Planner,
     PlannerMissError,
     ScriptedPlanner,
@@ -43,7 +43,7 @@ from .validator import AuditorUnavailable, HeuristicAuditor, audit_plan, validat
 
 logger = logging.getLogger(__name__)
 
-EXIT_CODES = {"ok": 0, "invalid_plan": 2, "execution_failed": 3, "unrecoverable": 4, "no_plan": 4}
+EXIT_CODES = {"ok": 0, "execution_failed": 3, "unrecoverable": 4, "no_plan": 4}
 
 
 @dataclass
@@ -51,16 +51,14 @@ class PipelineConfig:
     store_dir: str | None = None
     cache_capacity: int = 128
     tau: float = 0.85
-    alpha: float = 0.5
     top_k: int = 5
     max_parallel: int | None = None
-    max_fix_iterations: int = DEFAULT_MAX_ITERATIONS
+    max_fix_iterations: int = DEFAULT_MAX_ITERATIONS  # 0 turns DataOps off
     node_timeout: float = 30.0
     planner: str | None = None  # "scripted:<file>" or "external:<command>"
     replanner: str | None = None  # "external:<command>"
     context_role: str = "default"
     policy_flags: tuple[str, ...] = ()
-    dataops: bool = True
     audit: bool = True
     cache_enabled: bool = True
     cache_file: str | None = None
@@ -69,8 +67,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
         if self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1")
         if self.top_k < 1:
@@ -218,19 +214,16 @@ class Pipeline:
         if self.cache is None:
             self.cache = PlanCache(capacity=self.config.cache_capacity, tau=self.config.tau)
         self.auditor = auditor if auditor is not None else (HeuristicAuditor() if self.config.audit else None)
-        self.adapters = adapters or make_default_adapters(
-            store, k=self.config.top_k, translator=PatternTranslator()
-        )
+        self.adapters = adapters or make_default_adapters(store, k=self.config.top_k)
         self.planner_calls = 0
         self.validation_calls = 0
 
     @classmethod
     def from_config(cls, config: PipelineConfig) -> "Pipeline":
+        """A pipeline over ``config.store_dir``; search fuses with the store's ``alpha`` (``meta.json``)."""
         if not config.store_dir:
             raise ValueError("config.store_dir is required")
-        store = load_store(config.store_dir)
-        store.index.alpha = config.alpha
-        return cls(store=store, config=config)
+        return cls(store=load_store(config.store_dir), config=config)
 
     def save_cache(self) -> None:
         """Write the cache file, if one is configured. A file that cannot be
@@ -310,7 +303,7 @@ class Pipeline:
                         status = "execution_failed" if items else "ok"
                     if status == "ok":
                         break
-                    if not cfg.dataops:
+                    if not cfg.max_fix_iterations:
                         messages = tuple(
                             getattr(i, "detail", None) or getattr(i, "message", str(i)) for i in items
                         )

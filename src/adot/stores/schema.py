@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 COLUMN_TYPES = ("int", "float", "text", "bool")
@@ -92,6 +93,11 @@ class GlobalSchema:
 
     def crosslink_keys(self) -> frozenset[str]:
         return frozenset(link.metadata_key for link in self.cross_links)
+
+    @cached_property
+    def signature(self) -> str:
+        """``signature_of(self)``, hashed on first use; the schema is frozen."""
+        return signature_of(self)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .relational import Table
-from .schema import GlobalSchema, signature_of
+from .schema import GlobalSchema
 from .vector import Chunk, VectorIndex
 
 
@@ -32,7 +32,7 @@ class Store:
 
     @property
     def signature(self) -> str:
-        return signature_of(self.schema)
+        return self.schema.signature
 
     def chunks_for_document(self, document_id: int) -> list[Chunk]:
         return self.index.chunks_for_document(document_id)

@@ -337,7 +337,7 @@ def test_acceptance_dataops_recovery():
         for dataops_on in (True, False):
             pipeline = Pipeline(
                 store=make_store("queensland"),
-                config=PipelineConfig(dataops=dataops_on, audit=False, max_fix_iterations=3),
+                config=PipelineConfig(audit=False, max_fix_iterations=3 if dataops_on else 0),
                 planner=ScriptedPlanner({QLD_QUESTION: doc}),
             )
             result = pipeline.answer_question(QLD_QUESTION)

@@ -6,6 +6,9 @@ import pytest
 
 from adot.cache import PlanCache
 from adot.cli import main
+from adot.lineage import read_lineage
+from adot.pipeline import Pipeline, PipelineConfig
+from adot.stores.ingest import ingest
 from adot.stores.store import load_store
 from conftest import FIXTURES
 
@@ -93,7 +96,7 @@ def test_run_invalid_plan_exit_code(store_dir, tmp_path, capsys):
         node.pop("answer_description", None)
     broken = tmp_path / "noexpose.json"
     broken.write_text(json.dumps(doc))
-    code = main(["run", "--plan", str(broken), "--store", str(store_dir), "--dataops", "off"])
+    code = main(["run", "--plan", str(broken), "--store", str(store_dir), "--max-fix-iterations", "0"])
     assert code == 2
 
 
@@ -146,7 +149,7 @@ def test_cache_clear_on_an_unreadable_file_writes_an_empty_cache(unreadable_cach
 
 def test_ask_with_config_file_and_env_override(store_dir, tmp_path, capsys, monkeypatch):
     config_file = tmp_path / "config.json"
-    config_file.write_text(json.dumps({"top_k": 3, "dataops": True}))
+    config_file.write_text(json.dumps({"top_k": 3, "max_fix_iterations": 3}))
     monkeypatch.setenv("ADOT_MAX_PARALLEL", "2")
     question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
     code = main([
@@ -197,14 +200,14 @@ def test_ask_scripted_entry_that_is_not_a_plan_exits_no_plan(store_dir, tmp_path
     assert "status: no_plan" in err and "Traceback" not in err
 
 
-def test_ask_sequential_flag(store_dir, capsys):
+def test_ask_max_parallel_one(store_dir, capsys):
     question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
     code = main([
         "ask",
         "--question", question,
         "--store", str(store_dir),
         "--planner", f"scripted:{FIXTURES / 'olympics' / 'script.json'}",
-        "--sequential",
+        "--max-parallel", "1",
         "--no-cache",
     ])
     assert code == 0
@@ -259,9 +262,20 @@ def _unknown_config_key(tmp_path, store_dir, monkeypatch):
     return ["ask", "--question", "q?", "--store", str(store_dir), "--config", str(config_file)], "slimming"
 
 
+def _removed_config_key(key, value):
+    """A config file naming a removed field, such as ``dataops`` or ``alpha``."""
+    def bad_input(tmp_path, store_dir, monkeypatch):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"top_k": 3, key: value}))
+        return ["ask", "--question", "q?", "--store", str(store_dir), "--config", str(config_file)], key
+    bad_input.__name__ = f"_removed_config_key_{key}"
+    return bad_input
+
+
 @pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
                                        _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
-                                       _unknown_config_key],
+                                       _unknown_config_key, _removed_config_key("dataops", False),
+                                       _removed_config_key("alpha", 0.7)],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys, monkeypatch):
     argv, named = bad_input(tmp_path, store_dir, monkeypatch)
@@ -270,3 +284,37 @@ def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("adot: ") and named in err
     assert "Traceback" not in err
+
+
+def test_store_alpha_ranks_chunks_for_run_and_ask_alike(tmp_path, capsys):
+    """``meta.json``'s fusion weight is the only one: ``run`` and ``ask`` rank with it.
+
+    At 0.7 the query keeps documents 3 and 1; at 0.5 it would keep only 3.
+    """
+    tables, docs, store = tmp_path / "tables.json", tmp_path / "docs.jsonl", tmp_path / "store"
+    tables.write_text(json.dumps({"tables": [
+        {"name": "places", "columns": [{"name": "document_id", "type": "int"}], "rows": [[1], [2], [3]]},
+    ]}))
+    texts = ["tower river orchard river bridge", "bridge apple", "orchard stone stone bridge river"]
+    docs.write_text("".join(json.dumps({"document_id": i, "text": t}) + "\n" for i, t in enumerate(texts, 1)))
+    ingest(tables, docs, store, alpha=0.7)
+    question = "Find the document_id of the stone tower?"
+    plan = {"source_query": question, "subquestions": [
+        {"question": question, "tool": "milvus", "label": "$var_1",
+         "should_expose_answer": True, "answer_description": "Documents"},
+    ]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    (tmp_path / "script.json").write_text(json.dumps({question: plan}))
+
+    assert Pipeline.from_config(PipelineConfig(store_dir=str(store))).store.index.alpha == 0.7
+    assert main(["run", "--plan", str(tmp_path / "plan.json"), "--store", str(store),
+                 "--lineage", str(tmp_path / "run.jsonl")]) == 0
+    assert main(["ask", "--question", question, "--store", str(store), "--no-cache",
+                 "--planner", f"scripted:{tmp_path / 'script.json'}",
+                 "--lineage", str(tmp_path / "ask.jsonl")]) == 0
+    assert capsys.readouterr().out.splitlines() == ["Documents: 3, 1", "Documents: 3, 1"]
+
+    def hits(path):
+        return [r.provenance_refs for r in read_lineage(path) if r.kind == "node"]
+
+    assert hits(tmp_path / "run.jsonl") == hits(tmp_path / "ask.jsonl") != []

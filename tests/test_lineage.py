@@ -42,14 +42,25 @@ def test_record_round_trip_with_refs(tmp_path):
             output_summary={"rows": 1},
             provenance_refs=(RowRef("sport_in_queensland", 7), ChunkRef(3, 0)),
             input_labels=("$var_1",),
-            started=1,
-            finished=2,
         )
     )
     log.close()
     (rec,) = read_lineage(tmp_path / "l.jsonl")
     assert rec.provenance_refs == (RowRef("sport_in_queensland", 7), ChunkRef(3, 0))
     assert rec.input_labels == ("$var_1",)
+
+
+def test_earlier_file_with_started_and_finished_still_reads(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"seq": 1, "kind": "node", "status": "ok", "node_index": 1, "label": "$var_1", '
+        '"started": 1, "finished": 2, "wall_ms": 0.5}\n'
+        '{"seq": 2, "kind": "final", "status": "ok"}\n',
+        encoding="utf-8",
+    )
+    node, final = read_lineage(path)
+    assert (node.seq, node.label, node.wall_ms, final.kind) == (1, "$var_1", 0.5, "final")
+    assert "started" not in node.to_json() and "finished" not in node.to_json()
 
 
 def test_failed_node_record_has_error_class(smoky_store, smoky_plan):
@@ -129,7 +140,7 @@ def test_replayability_identical_up_to_seq_and_timing(olympics_store, olympics_p
         out = []
         for r in result.lineage.records:
             obj = r.to_json()
-            for volatile in ("seq", "started", "finished", "wall_ms"):
+            for volatile in ("seq", "wall_ms"):
                 obj.pop(volatile, None)
             out.append(json.dumps(obj, sort_keys=True))
         return out

@@ -43,7 +43,7 @@ def lineage_content(result) -> list[dict]:
     out = []
     for record in result.lineage.records:
         obj = record.to_json()
-        for volatile in ("seq", "started", "finished", "wall_ms"):
+        for volatile in ("seq", "wall_ms"):
             obj.pop(volatile, None)
         out.append(obj)
     return out
@@ -111,7 +111,7 @@ def test_dataops_repairs_seeded_corruption_but_off_fails():
             planner = ScriptedPlanner({QLD_QUESTION: doc})
             pipeline = Pipeline(
                 store=store,
-                config=PipelineConfig(dataops=dataops_on, audit=False),
+                config=PipelineConfig(max_fix_iterations=3 if dataops_on else 0, audit=False),
                 planner=planner,
             )
             result = pipeline.answer_question(QLD_QUESTION)
@@ -126,7 +126,7 @@ def test_dataops_repairs_seeded_corruption_but_off_fails():
 
 def test_disabling_optional_stages_preserves_clean_answers():
     baseline = olympics_pipeline().answer_question(OLYMPICS_QUESTION)
-    for overrides in ({"cache_enabled": False}, {"audit": False}, {"dataops": False}):
+    for overrides in ({"cache_enabled": False}, {"audit": False}, {"max_fix_iterations": 0}):
         result = olympics_pipeline(**overrides).answer_question(OLYMPICS_QUESTION)
         assert result.status == "ok"
         assert result.final_answer == baseline.final_answer
@@ -250,7 +250,7 @@ def test_config_range_validation():
     with pytest.raises(ValueError):
         PipelineConfig(tau=1.5)
     with pytest.raises(ValueError):
-        PipelineConfig(alpha=-0.1)
+        PipelineConfig(max_fix_iterations=-1)
     with pytest.raises(ValueError):
         PipelineConfig(cache_capacity=0)
 
@@ -400,12 +400,12 @@ def _exit_unrecoverable_dataops_off():
     from plangen import seeded_corruptions
 
     planner = ScriptedPlanner({QLD_QUESTION: seeded_corruptions()["BadLabelFormat"]})
-    config = PipelineConfig(dataops=False, audit=False)
+    config = PipelineConfig(max_fix_iterations=0, audit=False)
     return Pipeline(store=make_store("queensland"), config=config, planner=planner).answer_question(QLD_QUESTION)
 
 
 def _exit_execution_failed_dataops_off():
-    return fixture_pipeline("smoky_mountains", TEEN_QUESTION, dataops=False).answer_question(TEEN_QUESTION)
+    return fixture_pipeline("smoky_mountains", TEEN_QUESTION, max_fix_iterations=0).answer_question(TEEN_QUESTION)
 
 
 def _exit_execution_failed_after_abort():
@@ -570,7 +570,6 @@ ENV_SAMPLES = {
     "store_dir": ("/data/store", "/data/store"),
     "cache_capacity": ("7", 7),
     "tau": ("0.5", 0.5),
-    "alpha": ("0.25", 0.25),
     "top_k": ("3", 3),
     "max_parallel": ("2", 2),
     "max_fix_iterations": ("1", 1),
@@ -579,7 +578,6 @@ ENV_SAMPLES = {
     "replanner": ("external:cat", "external:cat"),
     "context_role": ("analyst", "analyst"),
     "policy_flags": ("pii,audit", ("pii", "audit")),
-    "dataops": ("false", False),
     "audit": ("0", False),
     "cache_enabled": ("no", False),
     "cache_file": ("cache.json", "cache.json"),

@@ -79,6 +79,19 @@ def test_signature_empty_schema_is_stable_constant():
     assert sig == "df6393f0796d9b7522b08af85576796fc37b4bbe57641fdcf447dd221c1e4665"
 
 
+def test_store_signature_is_hashed_once_per_schema(monkeypatch):
+    import hashlib
+
+    store = Store(schema=_schema_variant(True))
+    expected = signature_of(store.schema)
+    hashes = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashes.append(data) or sha256(data))
+    assert [store.signature for _ in range(3)] == [expected] * 3
+    assert len(hashes) <= 1
+    assert Store(schema=_schema_variant(False)).signature == expected  # equal content, its own schema
+
+
 def test_signature_injective_on_random_corpus():
     rng = Random(42)
     types = ("int", "float", "text", "bool")
