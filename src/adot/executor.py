@@ -387,9 +387,12 @@ def execute_plan(
                     rq, outcome, elapsed = futures[i].result(timeout=node_timeout)
                 except FutureTimeoutError:
                     timed_out = True
-                    futures[i].cancel()
-                    fail_node(i, AdapterError(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
-                              (time.perf_counter() - waiting) * 1000.0)
+                    if futures[i].cancel():  # still queued behind a hung worker: it never ran
+                        skipped.add(i)
+                        record(i, "skipped", extra={"reason": "not started: an earlier node of its wave timed out"})
+                    else:
+                        fail_node(i, AdapterError(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
+                                  (time.perf_counter() - waiting) * 1000.0)
                     continue
                 if outcome.error is not None:
                     fail_node(i, outcome.error, elapsed, rq, outcome.answer_value)

@@ -38,7 +38,7 @@ from .schema import (
     TableSchema,
     signature_of,
 )
-from .store import Store, load_store, save_store
+from .store import Store, StoreFileError, load_store, save_store
 from .vector import (
     Chunk,
     ChunkHit,
@@ -49,7 +49,6 @@ from .vector import (
     STOPWORDS,
     VectorIndex,
     cosine,
-    embed,
     sparse_dot,
     sparse_vector,
     tokenize,

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 from .relational import Table
 from .schema import Column, CollectionSchema, CrossLink, GlobalSchema, TableSchema
 from .store import Store, save_store
-from .vector import DEFAULT_ALPHA, DEFAULT_DIM, HashedBowEmbedder, VectorIndex
+from .vector import DEFAULT_ALPHA, DEFAULT_DIM, VectorIndex
 
 logger = logging.getLogger(__name__)
 
@@ -213,7 +213,7 @@ def build_store(
     overlap: int = CHUNK_OVERLAP_CHARS,
 ) -> tuple[Store, IngestReport]:
     report = IngestReport()
-    index = VectorIndex(dim=dim, alpha=alpha, embedder=HashedBowEmbedder(dim))
+    index = VectorIndex(dim=dim, alpha=alpha)
     chunk_id = 0
     for doc_id, text in documents:
         for piece in chunk_document(text, target=target, overlap=overlap):

@@ -5,10 +5,13 @@ Layout of a store directory::
     schema.json          global schema (tables, collections, cross-links)
     meta.json            index dimension and fusion weight
     tables/<name>.jsonl  one JSON array per row
-    chunks.jsonl         one chunk per line, embeddings included
+    chunks.jsonl         one chunk per line: chunk_id, document_id, text, metadata
 
-Everything is UTF-8 JSON, human-inspectable, and reloads bit-exactly
-(Python's JSON float codec round-trips doubles).
+A chunk's dense and sparse vectors are a function of its text, so they are
+not stored: loading re-indexes each chunk with ``VectorIndex.add_text``.
+Everything is UTF-8 JSON, human-inspectable, and reloads bit-exactly. A
+``chunks.jsonl`` of the earlier format, whose lines also hold ``dense`` and
+``sparse``, still loads; those keys are ignored.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
-import numpy as np
-
-from .relational import Table
+from .relational import Table, TypeMismatchError
 from .schema import GlobalSchema
-from .vector import Chunk, VectorIndex
+from .vector import DEFAULT_ALPHA, DEFAULT_DIM, Chunk, VectorIndex
+
+
+class StoreFileError(ValueError):
+    """A store file that is missing or cannot be read (torn, not JSON, wrong shape); the message names it."""
 
 
 @dataclass
@@ -63,52 +69,64 @@ def save_store(store: Store, out_dir: str | Path) -> None:
         (root / "tables" / f"{name}.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     with (root / "chunks.jsonl").open("w", encoding="utf-8") as fh:
         for c in store.index.chunks:
-            fh.write(
-                json.dumps(
-                    {
-                        "chunk_id": c.chunk_id,
-                        "document_id": c.document_id,
-                        "text": c.text,
-                        "dense": list(c.dense_vec),
-                        "sparse": dict(c.sparse_vec.items()),
-                        "metadata": dict(c.metadata),
-                    }
-                )
-                + "\n"
-            )
+            chunk = {"chunk_id": c.chunk_id, "document_id": c.document_id, "text": c.text, "metadata": dict(c.metadata)}
+            fh.write(json.dumps(chunk) + "\n")
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise StoreFileError(f"{path}: missing") from None
+
+
+def _read_json(path: Path, parse: Callable[[Any], Any]) -> Any:
+    text = _read_text(path)
+    try:
+        return parse(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise StoreFileError(f"{path}: {exc}") from None
+
+
+def _read_lines(path: Path, parse: Callable[[Any], Any]) -> list:
+    """``parse`` of each non-blank JSON line; a line that fails names the file and line."""
+    out = []
+    for number, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip():
+            try:
+                out.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise StoreFileError(f"{path}: line {number}: missing key {exc}") from None
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise StoreFileError(f"{path}: line {number}: {exc}") from None
+    return out
+
+
+def _chunk_fields(obj: Any) -> tuple[int, int, str, Any]:
+    if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
+        raise ValueError("not a chunk (an object with chunk_id, document_id and text)")
+    return int(obj["chunk_id"]), int(obj["document_id"]), obj["text"], obj.get("metadata")
+
+
+def _row(obj: Any) -> list:
+    if not isinstance(obj, list):
+        raise ValueError("not a row (a JSON array)")
+    return obj
 
 
 def load_store(store_dir: str | Path) -> Store:
+    """Read a store directory; a missing or unreadable file raises :class:`StoreFileError` naming it."""
     root = Path(store_dir)
-    schema = GlobalSchema.from_json(json.loads((root / "schema.json").read_text(encoding="utf-8")))
-    meta = {"dim": 256, "alpha": 0.5}
-    if (root / "meta.json").exists():
-        meta.update(json.loads((root / "meta.json").read_text(encoding="utf-8")))
-    index = VectorIndex(dim=int(meta["dim"]), alpha=float(meta["alpha"]))
-    chunks_path = root / "chunks.jsonl"
-    if chunks_path.exists():
-        for line in chunks_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            index.add(
-                Chunk(
-                    chunk_id=int(obj["chunk_id"]),
-                    document_id=int(obj["document_id"]),
-                    text=obj["text"],
-                    dense_vec=np.array(obj["dense"], dtype=np.float64),
-                    sparse_vec={t: float(w) for t, w in obj["sparse"].items()},
-                    metadata=obj.get("metadata", {}),
-                )
-            )
+    schema = _read_json(root / "schema.json", GlobalSchema.from_json)
+    meta = _read_json(root / "meta.json", dict) if (root / "meta.json").exists() else {}
+    index = VectorIndex(dim=int(meta.get("dim", DEFAULT_DIM)), alpha=float(meta.get("alpha", DEFAULT_ALPHA)))
+    _read_lines(root / "chunks.jsonl", lambda obj: index.add_text(*_chunk_fields(obj)))
     tables: dict[str, Table] = {}
     for ts in schema.tables:
-        rows: list[tuple] = []
         path = root / "tables" / f"{ts.name}.jsonl"
-        if path.exists():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    rows.append(tuple(json.loads(line)))
-        tables[ts.name] = Table(schema=ts, rows=rows)
+        rows = _read_lines(path, _row)
+        try:
+            tables[ts.name] = Table(schema=ts, rows=rows)
+        except (ValueError, TypeMismatchError) as exc:
+            raise StoreFileError(f"{path}: {exc}") from None
     return Store(schema=schema, tables=tables, index=index)
-

@@ -25,11 +25,14 @@ from the scalar one by a few ulps, so the rows whose matrix score is within
 ``RESCORE_MARGIN`` of the k-th best are rescored exactly with the scalar
 ``cosine`` and ``sparse_dot`` and sorted by ``(-fused, chunk_id)``. Every
 hit and all three of its scores are therefore those of the scalar formula
-applied to every candidate, and ties go to the lower chunk_id. While no
-weight in the index is negative, a row whose matrix score is exactly 0 also
-scores exactly 0 under the scalar formula; such rows all tie, so of them
-only the k with the lowest chunk_id are rescored. ``doc_filter`` restricts
-the candidates before ranking, so an empty filter returns ``[]``.
+applied to every candidate, and ties go to the lower chunk_id.
+
+``add_text`` is the only way into the index: it computes both vectors with
+the index's own embedder, so every dense and sparse weight is a normalized
+count and never negative. A row whose matrix score is exactly 0 therefore
+also scores exactly 0 under the scalar formula; such rows all tie, so of
+them only the k with the lowest chunk_id are rescored. ``doc_filter``
+restricts the candidates before ranking, so an empty filter returns ``[]``.
 """
 
 from __future__ import annotations
@@ -105,14 +108,6 @@ class HashedBowEmbedder:
         if norm > 0:
             vec /= norm
         return vec
-
-
-_DEFAULT_EMBEDDER = HashedBowEmbedder()
-
-
-def embed(text: str) -> np.ndarray:
-    """Embed with the module-default reference embedder (dim 256)."""
-    return _DEFAULT_EMBEDDER.embed(text)
 
 
 def sparse_vector(text: str) -> dict[str, float]:
@@ -244,17 +239,12 @@ class VectorIndex:
     add at once.
     """
 
-    def __init__(
-        self,
-        dim: int = DEFAULT_DIM,
-        alpha: float = DEFAULT_ALPHA,
-        embedder: HashedBowEmbedder | None = None,
-    ):
+    def __init__(self, dim: int = DEFAULT_DIM, alpha: float = DEFAULT_ALPHA):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         self.dim = dim
         self.alpha = alpha
-        self.embedder = embedder or HashedBowEmbedder(dim)
+        self.embedder = HashedBowEmbedder(dim)
         self.chunks: list[Chunk] = []
         self._blocks: list[np.ndarray] = []  # (_BLOCK_ROWS, dim) each
         self._inv_norms = array("d")  # row -> 1 / ||dense_vec||, 0 for the zero vector
@@ -267,24 +257,15 @@ class VectorIndex:
         # token id -> (rows, weights, entries scanned), built on the token's first search
         self._postings: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self._doc_rows: dict[int, list[int]] = {}
-        self._nonnegative = True  # every dense and sparse weight is >= 0
 
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def add(self, chunk: Chunk) -> None:
-        """Index ``chunk``; the index keeps a copy whose ``dense_vec`` is its row."""
-        self._append(chunk.chunk_id, chunk.document_id, chunk.text, chunk.dense_vec, chunk.sparse_vec, chunk.metadata)
-
     def add_text(self, chunk_id: int, document_id: int, text: str, metadata: Mapping[str, object] | None = None) -> Chunk:
-        return self._append(
-            chunk_id, document_id, text, self.embedder.embed(text), sparse_vector(text), dict(metadata or {})
-        )
-
-    def _append(self, chunk_id, document_id, text, dense, sparse, metadata) -> Chunk:
-        """Index one chunk as row ``len(chunks)``; everything that can fail runs before the first write."""
-        if np.shape(dense) != (self.dim,):
-            raise ValueError(f"chunk {chunk_id}: dense dim {np.shape(dense)} != ({self.dim},)")
+        """Embed ``text`` and index it as row ``len(chunks)``; everything that can fail runs before the first write."""
+        dense = self.embedder.embed(text)
+        sparse = sparse_vector(text)
+        metadata = dict(metadata or {})
         row_id = len(self.chunks)
         block, offset = divmod(row_id, _BLOCK_ROWS)
         if block == len(self._blocks):
@@ -294,7 +275,6 @@ class VectorIndex:
         row.flags.writeable = False
         token_ids = array("i", list(map(self._vocab.__getitem__, sparse)))
         weights = array("d", list(sparse.values()))
-        negative = row.min() < 0 or min(weights, default=0.0) < 0
         norm = np.linalg.norm(row)
         doc_rows = self._doc_rows.setdefault(document_id, [])
         start = len(self._entry_weights)
@@ -305,8 +285,6 @@ class VectorIndex:
         self._entry_tokens.extend(token_ids)
         self._entry_rows.extend(repeat(row_id, len(weights)))
         self._entry_weights.extend(weights)  # last: a reader scans only entries that have a weight
-        if negative:
-            self._nonnegative = False
         doc_rows.append(row_id)
         self.chunks.append(chunk)
         return chunk
@@ -351,8 +329,8 @@ class VectorIndex:
         """The candidate ``rows`` (ascending, below ``n``) that can be among the top k, ascending.
 
         These are the rows whose matrix score is within ``RESCORE_MARGIN`` of
-        the k-th best. While no weight is negative, the rows scoring exactly 0
-        all tie at 0, so only the k of them with the lowest chunk_id are kept.
+        the k-th best. No weight is negative, so the rows scoring exactly 0 all
+        tie at 0, and only the k of them with the lowest chunk_id are kept.
         """
         full = len(rows) == n  # then rows is range(n)
         dots = self._dots(q_dense, rows, full)
@@ -371,7 +349,7 @@ class VectorIndex:
         dense = dots * inv_norms * (1.0 / q_norm if q_norm > 0 else 0.0)
         fused = self.alpha * dense + (1.0 - self.alpha) * sparse
         threshold = _kth_largest(fused, k) - RESCORE_MARGIN
-        if threshold > 0 or not self._nonnegative:
+        if threshold > 0:
             return rows[fused >= threshold].tolist()
         # Fewer than k rows score above the margin, so every row is near the
         # k-th best. The rows scoring exactly 0 tie at 0: only the k lowest

@@ -256,6 +256,18 @@ def _label_not_in_lineage(tmp_path, store_dir, monkeypatch):
     return ["trace", "--lineage", str(lineage), "--label", "$var_9"], "adot: lineage has no node record for '$var_9'\n"
 
 
+def _torn_store_chunks(tmp_path, store_dir, monkeypatch):
+    chunks = store_dir / "chunks.jsonl"
+    chunks.write_bytes(chunks.read_bytes()[:-40])
+    return ["run", "--plan", str(FIXTURES / "olympics" / "plan.json"), "--store", str(store_dir)], f"{chunks}: line 4: "
+
+
+def _store_table_file_missing(tmp_path, store_dir, monkeypatch):
+    table = store_dir / "tables" / "athletes_1948.jsonl"
+    table.unlink()
+    return ["run", "--plan", str(FIXTURES / "olympics" / "plan.json"), "--store", str(store_dir)], f"{table}: missing"
+
+
 def _unknown_config_key(tmp_path, store_dir, monkeypatch):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"top_k": 3, "slimming": False}))
@@ -274,7 +286,7 @@ def _removed_config_key(key, value):
 
 @pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
                                        _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
-                                       _unknown_config_key, _removed_config_key("dataops", False),
+                                       _torn_store_chunks, _store_table_file_missing, _unknown_config_key, _removed_config_key("dataops", False),
                                        _removed_config_key("alpha", 0.7)],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys, monkeypatch):

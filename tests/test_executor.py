@@ -337,6 +337,33 @@ def test_node_timeout_bounds_wall_time():
     assert wall < 1.0, f"execute_plan waited {wall:.2f}s for a node that timed out after 0.2s"
 
 
+def test_node_queued_behind_a_timed_out_node_is_skipped_not_timed_out():
+    doc = {"subquestions": [
+        {"question": "stuck?", "tool": "sql", "label": "$var_1", "should_expose_answer": True, "answer_description": "a"},
+        {"question": "queued?", "tool": "sql", "label": "$var_2", "should_expose_answer": True, "answer_description": "b"},
+    ]}
+    release = threading.Event()
+    called = []
+
+    def adapter(rq):
+        called.append(rq.question_resolved)
+        if rq.question_resolved == "stuck?":
+            release.wait(5.0)
+        return AdapterOutcome(result=rs([(1, 1)]), answer_value=1)
+
+    try:
+        result = execute_plan(parse_doc(doc), adapters={Tool.STRUCTURED: adapter, Tool.VECTOR: adapter},
+                              max_parallel=1, node_timeout=0.2)
+    finally:
+        release.set()
+    assert [(f.node_index, f.error_class) for f in result.feedback] == [(1, FeedbackClass.TIMEOUT)]
+    assert result.skipped == (2,)
+    (record,) = [r for r in result.lineage.records if r.kind == "node" and r.node_index == 2]
+    assert record.status == "skipped"
+    assert record.extra == {"reason": "not started: an earlier node of its wave timed out"}
+    assert called == ["stuck?"]
+
+
 def test_diamond_parallel_timing():
     plan = parse_doc(DIAMOND_DOC)
     adapters = {

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -33,15 +34,13 @@ from adot.stores.schema import (
     signature_of,
 )
 from adot.stores import vector as vector_module
-from adot.stores.store import Store, load_store, save_store
+from adot.stores.store import Store, StoreFileError, load_store, save_store
 from adot.stores.vector import (
     STOPWORDS,
-    Chunk,
     EmptyIndexError,
     HashedBowEmbedder,
     VectorIndex,
     cosine,
-    embed,
     sparse_vector,
 )
 from oracles import ScalarSearch, bow_cosine, bow_embed, naive_aggregate, naive_exec, rank_chunks
@@ -500,12 +499,14 @@ def test_mini_language_parser_round_trip():
 
 
 def test_embed_deterministic_and_empty_zero():
+    embed = HashedBowEmbedder().embed
     assert np.array_equal(embed("payment terms"), embed("payment terms"))
     assert np.linalg.norm(embed("")) == 0.0
     assert cosine(embed(""), embed("anything")) == 0.0
 
 
 def test_embed_matches_independent_bow_oracle():
+    embed = HashedBowEmbedder().embed
     s = "payment terms"
     doubled = s + " " + s
     ours = cosine(embed(s), embed(doubled))
@@ -728,20 +729,6 @@ def test_search_during_adds_sees_a_prefix_of_the_index():
         ), (query, docs, before, after)
 
 
-def test_search_matches_frozen_scalar_loop_with_signed_weights():
-    rng = Random(11)
-    index = VectorIndex(dim=16)
-    oracle = ScalarSearch(16, index.alpha, STOPWORDS)
-    for cid in range(60):
-        text = " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 6)))
-        dense = index.embedder.embed(text)
-        if cid % 3 == 0:  # a model embedder may produce negative components
-            dense = dense - 0.1
-        index.add(Chunk(cid, cid % 7, text, dense, sparse_vector(text)))
-    for _ in range(60):
-        _assert_matches_scalar_loop(index, oracle, rng, 7)
-
-
 def test_chunks_for_document_reads_the_document_map(queensland_store):
     chunks = queensland_store.index.chunks
     for document_id in {c.document_id for c in chunks} | {-1}:
@@ -799,6 +786,87 @@ def test_search_identical_after_save_and_load(tmp_path):
         docs = rng.choice([None, {0, 2}, {9}])
         strip = lambda hits: [(h.chunk.chunk_id, h.dense_score, h.sparse_score, h.fused_score) for h in hits]
         assert strip(loaded.search(query, 4, docs)) == strip(index.search(query, 4, docs))
+
+
+# chunks.jsonl of a dim-8 store as the earlier save_store wrote it, vectors included.
+EARLIER_FORMAT_CHUNKS = """\
+{"chunk_id": 4, "document_id": 1, "text": "Payment terms: net 30 days.", "dense": [0.0, 0.4472135954999579, 0.0, 0.4472135954999579, 0.0, 0.4472135954999579, 0.4472135954999579, 0.4472135954999579], "sparse": {"payment": 0.4472135954999579, "terms": 0.4472135954999579, "net": 0.4472135954999579, "30": 0.4472135954999579, "days": 0.4472135954999579}, "metadata": {"document_id": 1}}
+{"chunk_id": 9, "document_id": 2, "text": "Late payment adds a fee", "dense": [0.5, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0], "sparse": {"late": 0.5, "payment": 0.5, "adds": 0.5, "fee": 0.5}, "metadata": {"page": 2, "document_id": 2}}
+{"chunk_id": 2, "document_id": 1, "text": "", "dense": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "sparse": {}, "metadata": {"document_id": 1}}
+"""
+
+
+def test_earlier_format_store_loads_to_the_same_chunks_vectors_and_hits(tmp_path):
+    root = tmp_path / "store"
+    save_store(Store(schema=GlobalSchema(tables=(), collections=()), index=VectorIndex(dim=8)), root)
+    (root / "chunks.jsonl").write_text(EARLIER_FORMAT_CHUNKS, encoding="utf-8")
+    loaded = load_store(root).index
+    fresh = VectorIndex(dim=8)
+    for line in EARLIER_FORMAT_CHUNKS.splitlines():
+        obj = json.loads(line)
+        fresh.add_text(obj["chunk_id"], obj["document_id"], obj["text"], obj["metadata"])
+    for c, d, line in zip(loaded.chunks, fresh.chunks, EARLIER_FORMAT_CHUNKS.splitlines(), strict=True):
+        stored = json.loads(line)
+        assert (c, c.metadata) == (d, d.metadata)
+        assert c.dense_vec.tolist() == d.dense_vec.tolist() == stored["dense"]
+        assert list(c.sparse_vec.items()) == list(d.sparse_vec.items()) == list(stored["sparse"].items())
+    strip = lambda hits: [(h.chunk.chunk_id, h.dense_score, h.sparse_score, h.fused_score) for h in hits]
+    for query in ["payment terms", "late fee", "net 30", "nothing matches"]:
+        for docs in [None, {1}]:
+            assert strip(loaded.search(query, 2, docs)) == strip(fresh.search(query, 2, docs))
+
+
+def test_saved_chunk_lines_hold_ids_text_and_metadata_only(tmp_path):
+    index = VectorIndex()
+    index.add_text(0, 1, "payment terms", {"page": 3})
+    index.add_text(1, 2, "")
+    save_store(Store(schema=GlobalSchema(tables=(), collections=()), index=index), tmp_path / "store")
+    lines = (tmp_path / "store" / "chunks.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"chunk_id": 0, "document_id": 1, "text": "payment terms", "metadata": {"page": 3, "document_id": 1}},
+        {"chunk_id": 1, "document_id": 2, "text": "", "metadata": {"document_id": 2}},
+    ]
+
+
+def _edit(edit):
+    return lambda path: path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def _replace_line(number, new):
+    return _edit(lambda text: "".join(
+        new + "\n" if i == number else line for i, line in enumerate(text.splitlines(keepends=True), start=1)
+    ))
+
+
+# (file under the store, damage, expected message after "<path>: ")
+DAMAGED_STORE_FILES = {
+    "torn_chunk_line": ("chunks.jsonl", _edit(lambda text: text[:-40]), "line 4: "),
+    "chunk_line_not_an_object": ("chunks.jsonl", _replace_line(2, "[1, 2]"), "line 2: not a chunk"),
+    "chunk_line_without_document_id": ("chunks.jsonl", _replace_line(3, '{"chunk_id": 9, "text": "x"}'),
+                                       "line 3: missing key 'document_id'"),
+    "chunk_text_not_a_string": ("chunks.jsonl", _replace_line(1, '{"chunk_id": 9, "document_id": 3, "text": 5}'),
+                                "line 1: not a chunk"),
+    "chunks_missing": ("chunks.jsonl", Path.unlink, "missing"),
+    "torn_table_line": ("tables/athletes_1948.jsonl", _edit(lambda text: text[:-5]), "line 2: "),
+    "table_line_not_an_array": ("tables/athletes_1948.jsonl", _replace_line(1, '{"athlete": "x"}'),
+                                "line 1: not a row"),
+    "table_row_of_wrong_arity": ("tables/athletes_1948.jsonl", _replace_line(2, '["x"]'), "table 'athletes_1948' row 1"),
+    "table_missing": ("tables/athletes_1948.jsonl", Path.unlink, "missing"),
+    "torn_schema": ("schema.json", _edit(lambda text: text[:-40]), "Expecting"),
+    "schema_missing": ("schema.json", Path.unlink, "missing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_STORE_FILES))
+def test_damaged_store_file_raises_store_file_error_naming_it(case, fixtures_dir, tmp_path):
+    root = tmp_path / "store"
+    ingest(fixtures_dir / "olympics" / "tables.json", fixtures_dir / "olympics" / "docs.jsonl", root)
+    name, damage, reason = DAMAGED_STORE_FILES[case]
+    damage(root / name)
+    with pytest.raises(StoreFileError) as info:
+        load_store(root)
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).startswith(f"{root / name}: {reason}"), str(info.value)
 
 
 # --- chunking -----------------------------------------------------------------
