@@ -9,7 +9,6 @@ for every answer.
 """
 
 from .adapters import (
-    AdapterError,
     AdapterOutcome,
     ExternalPlanner,
     PatternTranslator,

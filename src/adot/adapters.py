@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Any, Mapping, Protocol, Sequence
 
 from .cache import normalize_query
+from .jsonfiles import read_json
 from .plan_ir import VAR_REF_PATTERN, ParseError, Plan, Tool, parse_plan
 from .stores.relational import (
     Aggregate,
@@ -47,19 +48,26 @@ class FeedbackClass(str, Enum):
     NO_MATCH = "NoMatch"
 
 
+@dataclass(frozen=True)
+class ExecutionFeedback:
+    """A failed node, from the adapter through the executor to DataOps.
+
+    An adapter returns it without a node index; the executor records it
+    with its node's index.
+    """
+
+    error_class: FeedbackClass
+    message: str
+    infrastructure: bool = False
+    node_index: int | None = None
+
+
 class TranslationFailedError(ValueError):
     """The reference translator matched no template."""
 
 
 class PlannerMissError(KeyError):
     """The scripted planner has no plan for this question."""
-
-
-@dataclass(frozen=True)
-class AdapterError:
-    klass: FeedbackClass
-    message: str
-    infrastructure: bool = False
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class ResolvedSubQuery:
 class AdapterOutcome:
     result: ResultSet | list[ChunkHit] | None = None
     answer_value: Any = None
-    error: AdapterError | None = None
+    error: ExecutionFeedback | None = None
 
     def __post_init__(self) -> None:
         if (self.result is None) == (self.error is None):
@@ -247,11 +255,11 @@ def run_structured_adapter(rq: ResolvedSubQuery, store: Any) -> AdapterOutcome:
     try:
         query = PatternTranslator().translate(rq, store.schema)
     except TranslationFailedError as exc:
-        return AdapterOutcome(error=AdapterError(FeedbackClass.TRANSLATION_FAILED, str(exc)))
+        return AdapterOutcome(error=ExecutionFeedback(FeedbackClass.TRANSLATION_FAILED, str(exc)))
     try:
         result = exec_structured(store, query)
     except StoreQueryError as exc:
-        return AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, str(exc)))
+        return AdapterOutcome(error=ExecutionFeedback(FeedbackClass.STORE_ERROR, str(exc)))
     return AdapterOutcome(result=result, answer_value=render_result(result))
 
 
@@ -279,13 +287,13 @@ def run_vector_adapter(rq: ResolvedSubQuery, index: VectorIndex, k: int = DEFAUL
     try:
         hits = index.search(rq.question_resolved, k=k, doc_filter=doc_filter)
     except EmptyIndexError as exc:
-        return AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, str(exc), infrastructure=True))
+        return AdapterOutcome(error=ExecutionFeedback(FeedbackClass.STORE_ERROR, str(exc), infrastructure=True))
 
     best = hits[0].fused_score if hits else 0.0
     hits = [h for h in hits if h.fused_score > 0.0 and h.fused_score >= DEFAULT_REL_CUTOFF * best]
     if not hits:
         return AdapterOutcome(
-            error=AdapterError(FeedbackClass.NO_MATCH, "no chunk matches the question"),
+            error=ExecutionFeedback(FeedbackClass.NO_MATCH, "no chunk matches the question"),
             answer_value=[] if wants_doc_ids else None,
         )
 
@@ -314,7 +322,7 @@ class ScriptedPlanner:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedPlanner":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls, ValueError)
 
     def generate(self, question: str) -> Plan:
         """The plan scripted for the normalized question; a missing or unparsable one is a :class:`PlannerMissError`."""

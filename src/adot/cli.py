@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok, 2 bad input, 3 execution failure, 4 unrecoverable or
 no plan. A plan that fails validation and cannot be fixed exits 2 from
-``validate`` and ``run`` and 4 (unrecoverable) from ``ask``.
+``validate`` and ``run`` and 4 (unrecoverable) from ``ask``. Bad input,
+``ingest``'s included, prints one line, ``adot: <message>``; a bad input
+file is named in it, with the line for a line-based file.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from pathlib import Path
 
 from .adapters import ScriptedPlanner
 from .cache import CacheFileError, PlanCache
+from .jsonfiles import read_json, read_text
 from .lineage import LineageIOError, MissingRecordError, trace_answer
 from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
 from .plan_ir import ParseError, Plan, parse_plan
-from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, IngestError, ingest
+from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, ingest
 from .stores.schema import GlobalSchema
 from .stores.store import load_store
 from .validator import validate_plan
@@ -29,25 +32,21 @@ def _print_record(record) -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    try:
-        report = ingest(
-            args.tables,
-            args.docs,
-            args.out,
-            row_map_path=args.row_map,
-            target=args.target_chars,
-            overlap=args.overlap,
-        )
-    except IngestError as exc:
-        print(f"ingest failed: {exc}", file=sys.stderr)
-        return 1
+    report = ingest(
+        args.tables,
+        args.docs,
+        args.out,
+        row_map_path=args.row_map,
+        target=args.target_chars,
+        overlap=args.overlap,
+    )
     print(json.dumps(report.to_json(), indent=2))
     return 0
 
 
 def _read_plan(path: str) -> tuple[str, Plan]:
     """The plan file's text and plan; a parse error names the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, ParseError)
     try:
         return text, parse_plan(text)
     except ParseError as exc:
@@ -56,7 +55,7 @@ def _read_plan(path: str) -> tuple[str, Plan]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     _, plan = _read_plan(args.plan)
-    schema = GlobalSchema.from_json(json.loads(Path(args.schema).read_text(encoding="utf-8")))
+    schema = read_json(args.schema, GlobalSchema.from_json, ValueError)
     report = validate_plan(plan, schema)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))

@@ -18,7 +18,7 @@ from typing import Any, Protocol, Sequence
 
 from .adapters import ExternalCommandError, run_command
 from .executor import ExecutionFeedback, FeedbackClass
-from .plan_ir import Plan, Tool, extract_var_refs, parse_plan, serialize_plan
+from .plan_ir import Plan, SubQuery, Tool, extract_var_refs, parse_plan, serialize_plan
 from .stores.schema import GlobalSchema
 from .validator import ErrorCode, ValidationError, validate_plan, _mentions
 
@@ -121,10 +121,7 @@ def _replace_token(text: str, old: str, new: str) -> str:
     return re.sub(re.escape(old) + r"(?![A-Za-z0-9_])", new.replace("\\", "\\\\"), text)
 
 
-def _fix_bad_label(plan: Plan, schema: GlobalSchema, d: Diagnosis):
-    if d.node_index is None:
-        return None
-    node = plan.node(d.node_index)
+def _fix_bad_label(plan: Plan, schema: GlobalSchema, node: SubQuery):
     canonical = f"$var_{node.index}"
     if node.label == canonical:
         return None
@@ -141,10 +138,7 @@ def _fix_bad_label(plan: Plan, schema: GlobalSchema, d: Diagnosis):
     return plan, f"node {node.index}: label {old!r} -> {canonical!r}"
 
 
-def _fix_tool(plan: Plan, schema: GlobalSchema, d: Diagnosis):
-    if d.node_index is None:
-        return None
-    node = plan.node(d.node_index)
+def _fix_tool(plan: Plan, schema: GlobalSchema, node: SubQuery):
     question = node.question or ""
     names = {t.name for t in schema.tables} | set(schema.all_column_names())
     structured = any(_mentions(question, name) for name in names)
@@ -155,10 +149,7 @@ def _fix_tool(plan: Plan, schema: GlobalSchema, d: Diagnosis):
     return plan, f"node {node.index}: tool -> {choice.value}"
 
 
-def _fix_missing_answer_description(plan: Plan, schema: GlobalSchema, d: Diagnosis):
-    if d.node_index is None:
-        return None
-    node = plan.node(d.node_index)
+def _fix_missing_answer_description(plan: Plan, schema: GlobalSchema, node: SubQuery):
     if (node.answer_description or "").strip():
         return None
     description = (node.question or "").strip() or "answer"
@@ -166,10 +157,7 @@ def _fix_missing_answer_description(plan: Plan, schema: GlobalSchema, d: Diagnos
     return plan, f"node {node.index}: answer_description copied from question"
 
 
-def _fix_schema_drift(plan: Plan, schema: GlobalSchema, d: Diagnosis):
-    if d.node_index is None:
-        return None
-    node = plan.node(d.node_index)
+def _fix_schema_drift(plan: Plan, schema: GlobalSchema, node: SubQuery):
     question = node.question or ""
     known = schema.all_column_names() | schema.all_metadata_keys()
     partial = {sq.index: frozenset(sq.partial_result_columns or ()) for sq in plan.subquestions}
@@ -191,17 +179,14 @@ def _fix_schema_drift(plan: Plan, schema: GlobalSchema, d: Diagnosis):
     return plan, f"node {node.index}: column rename {deltas}"
 
 
-def _fix_unresolved_variable(plan: Plan, schema: GlobalSchema, d: Diagnosis):
+def _fix_unresolved_variable(plan: Plan, schema: GlobalSchema, node: SubQuery):
     """Off-by-one repair: a reference to $var_{n+1} snaps to $var_n.
 
     Applied only when that is the sole dangling reference and the
     referencing node is not node n itself (which would self-loop); anything
     else escalates to the replanner.
     """
-    if d.node_index is None:
-        return None
     n = len(plan.subquestions)
-    node = plan.node(d.node_index)
     question = node.question or ""
     dangling = sorted({r.target_index for r in extract_var_refs(question) if r.target_index < 1 or r.target_index > n})
     if dangling != [n + 1] or node.index == n:
@@ -295,9 +280,9 @@ def remediate(
     deltas: list[str] = []
     for d in diagnoses:
         rule = FIX_RULES.get(d.error_class)
-        if rule is None:
+        if rule is None or d.node_index is None:
             continue
-        outcome = rule(candidate, schema, d)
+        outcome = rule(candidate, schema, candidate.node(d.node_index))
         if outcome is None:
             continue
         candidate, delta = outcome

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from .adapters import (
-    AdapterError,
     AdapterOutcome,
     DEFAULT_TOP_K,
+    ExecutionFeedback,
     FeedbackClass,
     ResolvedSubQuery,
     run_structured_adapter,
@@ -49,19 +49,9 @@ DEFAULT_NODE_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
-class ExecutionFeedback:
-    node_index: int
-    error_class: FeedbackClass
-    message: str
-    bound_labels: tuple[str, ...] = ()
-    infrastructure: bool = False
-
-
-@dataclass(frozen=True)
 class Binding:
-    """A node's answer value under its label, plus the slimmed forwarding view."""
+    """A node's answer value, plus the slimmed forwarding view; stored under the node's label."""
 
-    label: str
     slim_view: Mapping[str, tuple]
     answer_value: Any = None
 
@@ -87,6 +77,10 @@ class NoExposedResultsError(RuntimeError):
 
 
 AdapterFn = Callable[[ResolvedSubQuery], AdapterOutcome]
+
+
+def _failure(error_class: FeedbackClass, message: str) -> AdapterOutcome:
+    return AdapterOutcome(error=ExecutionFeedback(error_class, message))
 
 
 def make_default_adapters(store: Store, k: int = DEFAULT_TOP_K) -> dict[Tool, AdapterFn]:
@@ -308,15 +302,18 @@ def execute_plan(
     if store is not None and store.schema.cross_links:
         crosslink_keys = store.schema.crosslink_keys()
 
-    nodes: dict[int, SubQuery] = {sq.index: sq for sq in plan.subquestions}
+    # A node that failed in an earlier pass runs again, so it starts pending:
+    # every node of a wave ends executed, failed, or pending (skipped).
+    nodes: dict[int, SubQuery] = {
+        sq.index: replace(sq, status=NodeStatus.PENDING) if sq.status is NodeStatus.FAILED else sq
+        for sq in plan.subquestions
+    }
     graph = build_dependency_graph(plan)
     required_keys = _required_text_keys(plan)
     waves = topological_waves(plan)
 
     bindings: dict[str, Binding] = dict(initial_bindings or {})
     feedback: list[ExecutionFeedback] = []
-    failed: set[int] = set()
-    skipped: set[int] = set()
 
     def record(index: int, status: str, rq: ResolvedSubQuery | None = None, **fields: Any) -> None:
         """Append the lineage record of one node outcome (ok, failed or skipped)."""
@@ -334,21 +331,34 @@ def execute_plan(
             )
         )
 
-    def fail_node(index: int, error: AdapterError, elapsed_ms: float,
-                  rq: ResolvedSubQuery | None = None, answer_value: Any = None) -> None:
-        failed.add(index)
-        nodes[index] = replace(nodes[index], status=NodeStatus.FAILED)
-        feedback.append(
-            ExecutionFeedback(
-                node_index=index,
-                error_class=error.klass,
-                message=error.message,
-                bound_labels=tuple(sorted(bindings)),
-                infrastructure=error.infrastructure,
-            )
-        )
-        record(index, "failed", rq, error_class=error.klass.value, wall_ms=elapsed_ms,
-               output_summary={"answer_value": answer_value} if answer_value is not None else {})
+    def settle(index: int, rq: ResolvedSubQuery | None, outcome: AdapterOutcome, elapsed_ms: float) -> None:
+        """Apply a finished node's outcome: bind, mark and record it, or fail it."""
+        node = nodes[index]
+        label = node.label or f"$var_{index}"
+        if outcome.ok:
+            available = result_keys(outcome.result)
+            needed = set(required_keys[index]) | (set(crosslink_keys) & set(available))
+            try:
+                slim = slim_binding(outcome.result, needed) if needed else {}
+            except MissingKeyError as exc:
+                outcome = _failure(FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME,
+                                   f"result of node {index} lacks required key {exc.key!r}")
+            else:
+                if label in bindings:
+                    outcome = _failure(FeedbackClass.STORE_ERROR, f"label {label} already bound")
+        if not outcome.ok:
+            nodes[index] = replace(node, status=NodeStatus.FAILED)
+            feedback.append(replace(outcome.error, node_index=index))
+            record(index, "failed", rq, error_class=outcome.error.error_class.value, wall_ms=elapsed_ms,
+                   output_summary={} if outcome.answer_value is None else {"answer_value": outcome.answer_value})
+            return
+        bindings[label] = Binding(slim_view=slim, answer_value=outcome.answer_value)
+        nodes[index] = replace(node, status=NodeStatus.EXECUTED, partial_result_columns=tuple(available))
+        summary, provenance = summarize_result(outcome.result)
+        if outcome.answer_value is not None:
+            summary["answer_value_sample"] = render_value(outcome.answer_value)[:200]
+        record(index, "ok", rq, label=label, output_summary=summary, provenance_refs=provenance,
+               wall_ms=elapsed_ms, extra={"answer_description": node.answer_description} if node.exposes else {})
 
     def run_node(index: int) -> tuple[ResolvedSubQuery | None, AdapterOutcome, float]:
         """(resolved sub-question, outcome, elapsed ms); a raised exception becomes the outcome's error."""
@@ -358,10 +368,10 @@ def execute_plan(
             rq = resolve_question(nodes[index], bindings)
             outcome = adapters[rq.tool](rq)
         except UnboundVariableError as exc:
-            outcome = AdapterOutcome(error=AdapterError(FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, str(exc)))
+            outcome = _failure(FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME, str(exc))
         except Exception as exc:  # an adapter bug fails its node, not the run
             logger.error("node %d adapter raised", index, exc_info=exc)
-            outcome = AdapterOutcome(error=AdapterError(FeedbackClass.STORE_ERROR, f"adapter raised: {exc}"))
+            outcome = _failure(FeedbackClass.STORE_ERROR, f"adapter raised: {exc}")
         return rq, outcome, (time.perf_counter() - t0) * 1000.0
 
     if max_parallel is None:
@@ -372,58 +382,25 @@ def execute_plan(
     timed_out = False
     try:
         for wave in waves:
-            runnable = []
+            futures = {}
             for i in wave:
-                if graph[i] & (failed | skipped):
-                    skipped.add(i)
+                if all(nodes[d].executed for d in graph[i]):
+                    futures[i] = pool.submit(run_node, i)
+                else:
                     record(i, "skipped")
-                    continue
-                runnable.append(i)
-            futures = {i: pool.submit(run_node, i) for i in runnable}
-            for i in runnable:
-                node = nodes[i]
+            for i, future in futures.items():
                 waiting = time.perf_counter()
                 try:
-                    rq, outcome, elapsed = futures[i].result(timeout=node_timeout)
+                    finished = future.result(timeout=node_timeout)
                 except FutureTimeoutError:
                     timed_out = True
-                    if futures[i].cancel():  # still queued behind a hung worker: it never ran
-                        skipped.add(i)
+                    if future.cancel():  # still queued behind a hung worker: it never ran
                         record(i, "skipped", extra={"reason": "not started: an earlier node of its wave timed out"})
                     else:
-                        fail_node(i, AdapterError(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
-                                  (time.perf_counter() - waiting) * 1000.0)
-                    continue
-                if outcome.error is not None:
-                    fail_node(i, outcome.error, elapsed, rq, outcome.answer_value)
-                    continue
-
-                available = result_keys(outcome.result)
-                needed = set(required_keys[i]) | (set(crosslink_keys) & set(available))
-                label = node.label or f"$var_{i}"
-                try:
-                    slim = slim_binding(outcome.result, needed) if needed else {}
-                except MissingKeyError as exc:
-                    error = AdapterError(FeedbackClass.UNKNOWN_VARIABLE_AT_RUNTIME,
-                                         f"result of node {i} lacks required key {exc.key!r}")
+                        settle(i, None, _failure(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
+                               (time.perf_counter() - waiting) * 1000.0)
                 else:
-                    error = (AdapterError(FeedbackClass.STORE_ERROR, f"label {label} already bound")
-                             if label in bindings else None)
-                if error is not None:
-                    fail_node(i, error, elapsed, rq)
-                    continue
-                bindings[label] = Binding(label=label, slim_view=slim, answer_value=outcome.answer_value)
-                nodes[i] = replace(
-                    node,
-                    status=NodeStatus.EXECUTED,
-                    partial_result_columns=tuple(available),
-                )
-                summary, provenance = summarize_result(outcome.result)
-                if outcome.answer_value is not None:
-                    summary["answer_value_sample"] = render_value(outcome.answer_value)[:200]
-                record(i, "ok", rq, label=label, output_summary=summary, provenance_refs=provenance,
-                       wall_ms=elapsed,
-                       extra={"answer_description": node.answer_description} if node.exposes else {})
+                    settle(i, *finished)
     finally:
         # Join the workers, unless one timed out: it may still be running, and
         # waiting for it would stretch the call past node_timeout. (Never
@@ -432,6 +409,8 @@ def execute_plan(
         pool.shutdown(wait=not timed_out, cancel_futures=True)
 
     ordered = sorted(nodes)
+    failed = [i for i in ordered if nodes[i].status is NodeStatus.FAILED]
+    skipped = tuple(i for i in ordered if nodes[i].status is NodeStatus.PENDING)
     exposed = tuple(
         (nodes[i].answer_description or "", bindings[nodes[i].label].answer_value)
         for i in ordered
@@ -447,8 +426,8 @@ def execute_plan(
             output_summary={
                 "final_answer": final_answer,
                 "exposed": len(exposed),
-                "failed_nodes": sorted(failed),
-                "skipped_nodes": sorted(skipped),
+                "failed_nodes": failed,
+                "skipped_nodes": list(skipped),
             },
         )
     )
@@ -458,6 +437,6 @@ def execute_plan(
         feedback=tuple(feedback),
         bindings=bindings,
         plan_after=plan_after,
-        skipped=tuple(sorted(skipped)),
+        skipped=skipped,
         lineage=log,
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .jsonfiles import read_lines
 from .stores.relational import ChunkRef, ResultSet, RowRef, ref_from_json
 from .stores.vector import ChunkHit
 
@@ -141,24 +142,15 @@ class LineageLog:
             self._fh = None
 
 
+def _record(obj: Any) -> LineageRecord:
+    if not isinstance(obj, dict) or "kind" not in obj or "seq" not in obj:
+        raise ValueError("not a lineage record (an object with 'kind' and 'seq')")
+    return LineageRecord.from_json(obj)
+
+
 def read_lineage(path: str | Path) -> list[LineageRecord]:
     """The records of a lineage file; a line that is not a record names the file and line."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LineageIOError(str(exc)) from exc
-    records = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict) or "kind" not in obj or "seq" not in obj:
-                raise ValueError("not a lineage record (an object with 'kind' and 'seq')")
-            records.append(LineageRecord.from_json(obj))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise LineageIOError(f"{path}: line {number}: {exc}") from None
-    return records
+    return read_lines(path, _record, LineageIOError)
 
 
 def summarize_result(result: Any) -> tuple[dict[str, Any], tuple]:

@@ -12,7 +12,6 @@ validated plan.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import os
 from dataclasses import dataclass, field, replace
@@ -36,6 +35,7 @@ from .dataops import (
     remediate,
 )
 from .executor import execute_plan, make_default_adapters
+from .jsonfiles import read_json
 from .lineage import LineageLog, LineageRecord
 from .plan_ir import Context, NodeStatus, Plan
 from .stores.store import Store, load_store
@@ -110,6 +110,15 @@ def _coerce_env(key: str, raw: str, f: dataclasses.Field) -> Any:
         raise ValueError(f"{key}: {exc}") from None
 
 
+def _config_fields(obj: Any) -> dict[str, Any]:
+    if not isinstance(obj, dict):
+        raise ValueError("not a config (a JSON object)")
+    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(PipelineConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    return obj
+
+
 def load_config(
     path: str | Path | None = None,
     env: Mapping[str, str] | None = None,
@@ -122,10 +131,7 @@ def load_config(
     fields = dataclasses.fields(PipelineConfig)
     data: dict[str, Any] = {}
     if path is not None:
-        data.update(json.loads(Path(path).read_text(encoding="utf-8")))
-        unknown = sorted(set(data) - {f.name for f in fields})
-        if unknown:
-            raise ValueError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+        data.update(read_json(path, _config_fields, ValueError))
     env = os.environ if env is None else env
     for f in fields:
         key = f"ADOT_{f.name.upper()}"
@@ -319,8 +325,9 @@ class Pipeline:
                         messages = action.messages
                         break
                     if action.kind is ActionKind.REPLAN:
-                        bindings = _reusable_bindings(plan, action.plan, bindings)
-                    plan = action.plan
+                        plan, bindings = _resume_after_replan(plan, action.plan, bindings)
+                    else:
+                        plan = action.plan
                 if status == "ok" and cache_strategy is None and cfg.cache_enabled:
                     self.cache.insert(question, signature, context, scrub_plan(plan))
                     self.save_cache()
@@ -353,17 +360,21 @@ class Pipeline:
         return self.planner.generate(question), None
 
 
-def _reusable_bindings(old_plan: Plan, new_plan: Plan, bindings: Mapping) -> dict:
-    """After a replan, keep bindings only where label and question survive."""
+def _resume_after_replan(old_plan: Plan, new_plan: Plan, bindings: Mapping) -> tuple[Plan, dict]:
+    """The new plan and the bindings it keeps: those whose label and question survive.
+
+    An executed node of the new plan whose binding is not kept goes back to
+    pending, so it runs again.
+    """
     old_by_label = {sq.label: sq for sq in old_plan.subquestions}
     keep: dict = {}
+    nodes = []
     for sq in new_plan.subquestions:
-        prior = old_by_label.get(sq.label)
-        if (
-            prior is not None
-            and sq.executed
-            and prior.question == sq.question
-            and sq.label in bindings
-        ):
-            keep[sq.label] = bindings[sq.label]
-    return keep
+        if sq.executed:
+            prior = old_by_label.get(sq.label)
+            if prior is not None and prior.question == sq.question and sq.label in bindings:
+                keep[sq.label] = bindings[sq.label]
+            else:
+                sq = replace(sq, status=NodeStatus.PENDING, partial_result_columns=None)
+        nodes.append(sq)
+    return replace(new_plan, subquestions=tuple(nodes)), keep

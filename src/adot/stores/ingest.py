@@ -10,14 +10,14 @@ every table carrying a ``document_id`` column.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .relational import Table
+from ..jsonfiles import read_json, read_lines
+from .relational import Table, TypeMismatchError
 from .schema import Column, CollectionSchema, CrossLink, GlobalSchema, TableSchema
 from .store import Store, save_store
 from .vector import DEFAULT_ALPHA, DEFAULT_DIM, VectorIndex
@@ -123,12 +123,19 @@ def _coerce_csv(value: str, col_type: str):
 
 
 def _table_from_csv(path: Path) -> Table:
+    """A table named after the file; a row whose field count is not the header's names its line."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise IngestError(f"{path}: empty CSV")
-    header, data = rows[0], rows[1:]
+        header = next(reader, None)
+        if header is None:
+            raise IngestError(f"{path}: empty CSV")
+        data = []
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) != len(header):
+                raise IngestError(f"{path}: line {reader.line_num}: {len(row)} fields, the header has {len(header)}")
+            data.append(row)
     types = [_infer_csv_type([r[i] for r in data]) for i in range(len(header))]
     schema = TableSchema(
         name=path.stem,
@@ -138,8 +145,7 @@ def _table_from_csv(path: Path) -> Table:
     return Table(schema=schema, rows=typed)
 
 
-def _tables_from_json(path: Path) -> list[Table]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+def _tables(doc: Any) -> list[Table]:
     specs = doc["tables"] if isinstance(doc, dict) and "tables" in doc else doc
     if isinstance(specs, dict):
         specs = [specs]
@@ -150,7 +156,10 @@ def _tables_from_json(path: Path) -> list[Table]:
             columns=tuple(Column(c["name"], c["type"]) for c in spec["columns"]),
             primary_key=spec.get("primary_key"),
         )
-        tables.append(Table(schema=schema, rows=[tuple(r) for r in spec.get("rows", ())]))
+        try:
+            tables.append(Table(schema=schema, rows=[tuple(r) for r in spec.get("rows", ())]))
+        except TypeMismatchError as exc:
+            raise ValueError(str(exc)) from None
     return tables
 
 
@@ -162,27 +171,27 @@ def load_tables(tables_path: str | Path) -> list[Table]:
             if child.suffix == ".csv":
                 tables.append(_table_from_csv(child))
             elif child.suffix == ".json":
-                tables.extend(_tables_from_json(child))
+                tables.extend(read_json(child, _tables, IngestError))
         return tables
     if path.suffix == ".csv":
         return [_table_from_csv(path)]
-    return _tables_from_json(path)
+    return read_json(path, _tables, IngestError)
 
 
 def load_documents(docs_path: str | Path) -> list[tuple[int, str]]:
-    docs: list[tuple[int, str]] = []
+    """(document_id, text) per line; a bad or repeated document names its file and line."""
     seen: set[int] = set()
-    text = Path(docs_path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        doc_id = int(obj["document_id"])
+
+    def document(obj: Any) -> tuple[int, str]:
+        doc_id, text = int(obj["document_id"]), obj["text"]
+        if not isinstance(text, str):
+            raise ValueError("text is not a string")
         if doc_id in seen:
-            raise IngestError(f"{docs_path}:{lineno}: duplicate document_id {doc_id}")
+            raise ValueError(f"duplicate document_id {doc_id}")
         seen.add(doc_id)
-        docs.append((doc_id, obj["text"]))
-    return docs
+        return doc_id, text
+
+    return read_lines(docs_path, document, IngestError)
 
 
 def _apply_row_map(table: Table, doc_ids: list, known_docs: set[int]) -> Table:
@@ -256,7 +265,7 @@ def ingest(
     tables = load_tables(tables_path)
     documents = load_documents(docs_path)
     if row_map_path is not None:
-        row_map: Mapping[str, list] = json.loads(Path(row_map_path).read_text(encoding="utf-8"))
+        row_map: Mapping[str, list] = read_json(row_map_path, dict, IngestError)
         known = {d for d, _ in documents}
         tables = [
             _apply_row_map(t, row_map[t.name], known) if t.name in row_map else t for t in tables

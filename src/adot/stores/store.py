@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
+from ..jsonfiles import read_json, read_lines
 from .relational import Table, TypeMismatchError
 from .schema import GlobalSchema
 from .vector import DEFAULT_ALPHA, DEFAULT_DIM, Chunk, VectorIndex
@@ -73,39 +74,16 @@ def save_store(store: Store, out_dir: str | Path) -> None:
             fh.write(json.dumps(chunk) + "\n")
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise StoreFileError(f"{path}: missing") from None
-
-
-def _read_json(path: Path, parse: Callable[[Any], Any]) -> Any:
-    text = _read_text(path)
-    try:
-        return parse(json.loads(text))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise StoreFileError(f"{path}: {exc}") from None
-
-
-def _read_lines(path: Path, parse: Callable[[Any], Any]) -> list:
-    """``parse`` of each non-blank JSON line; a line that fails names the file and line."""
-    out = []
-    for number, line in enumerate(_read_text(path).splitlines(), start=1):
-        if line.strip():
-            try:
-                out.append(parse(json.loads(line)))
-            except KeyError as exc:
-                raise StoreFileError(f"{path}: line {number}: missing key {exc}") from None
-            except (ValueError, TypeError, AttributeError) as exc:
-                raise StoreFileError(f"{path}: line {number}: {exc}") from None
-    return out
-
-
 def _chunk_fields(obj: Any) -> tuple[int, int, str, Any]:
     if not isinstance(obj, dict) or not isinstance(obj.get("text"), str):
         raise ValueError("not a chunk (an object with chunk_id, document_id and text)")
     return int(obj["chunk_id"]), int(obj["document_id"]), obj["text"], obj.get("metadata")
+
+
+def _index(meta: Any) -> VectorIndex:
+    if not isinstance(meta, dict):
+        raise ValueError("not index settings (an object with dim and alpha)")
+    return VectorIndex(dim=int(meta.get("dim", DEFAULT_DIM)), alpha=float(meta.get("alpha", DEFAULT_ALPHA)))
 
 
 def _row(obj: Any) -> list:
@@ -117,14 +95,13 @@ def _row(obj: Any) -> list:
 def load_store(store_dir: str | Path) -> Store:
     """Read a store directory; a missing or unreadable file raises :class:`StoreFileError` naming it."""
     root = Path(store_dir)
-    schema = _read_json(root / "schema.json", GlobalSchema.from_json)
-    meta = _read_json(root / "meta.json", dict) if (root / "meta.json").exists() else {}
-    index = VectorIndex(dim=int(meta.get("dim", DEFAULT_DIM)), alpha=float(meta.get("alpha", DEFAULT_ALPHA)))
-    _read_lines(root / "chunks.jsonl", lambda obj: index.add_text(*_chunk_fields(obj)))
+    schema = read_json(root / "schema.json", GlobalSchema.from_json, StoreFileError)
+    index = read_json(root / "meta.json", _index, StoreFileError) if (root / "meta.json").exists() else VectorIndex()
+    read_lines(root / "chunks.jsonl", lambda obj: index.add_text(*_chunk_fields(obj)), StoreFileError)
     tables: dict[str, Table] = {}
     for ts in schema.tables:
         path = root / "tables" / f"{ts.name}.jsonl"
-        rows = _read_lines(path, _row)
+        rows = read_lines(path, _row, StoreFileError)
         try:
             tables[ts.name] = Table(schema=ts, rows=rows)
         except (ValueError, TypeMismatchError) as exc:

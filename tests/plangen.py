@@ -143,10 +143,10 @@ def simulated_adapters(delay: float = 0.0, fail_nodes: frozenset[int] = frozense
         if delay:
             time.sleep(delay)
         if rq.node_index in fail_nodes:
-            from adot.adapters import AdapterError, FeedbackClass
+            from adot.adapters import ExecutionFeedback, FeedbackClass
 
             return AdapterOutcome(
-                error=AdapterError(FeedbackClass.NO_MATCH, f"simulated failure at node {rq.node_index}")
+                error=ExecutionFeedback(FeedbackClass.NO_MATCH, f"simulated failure at node {rq.node_index}")
             )
         consumed = sorted(
             (label, key, tuple(values))

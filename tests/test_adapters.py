@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from adot.adapters import (
-    AdapterError,
     AdapterOutcome,
+    ExecutionFeedback,
     FeedbackClass,
     PatternTranslator,
     PlannerMissError,
@@ -34,7 +34,7 @@ def test_outcome_invariant_exactly_one_of_result_error():
     with pytest.raises(ValueError):
         AdapterOutcome(result=None, error=None)
     with pytest.raises(ValueError):
-        AdapterOutcome(result=[], error=AdapterError(FeedbackClass.STORE_ERROR, "x"))
+        AdapterOutcome(result=[], error=ExecutionFeedback(FeedbackClass.STORE_ERROR, "x"))
 
 
 def test_structured_venue_lookup_with_binding(queensland_store):
@@ -68,7 +68,7 @@ def test_structured_empty_in_list_returns_empty_no_error(queensland_store):
 def test_structured_untranslatable_question(queensland_store):
     outcome = run_structured_adapter(rq_structured("please dance"), queensland_store)
     assert outcome.error is not None
-    assert outcome.error.klass is FeedbackClass.TRANSLATION_FAILED
+    assert outcome.error.error_class is FeedbackClass.TRANSLATION_FAILED
 
 
 def test_structured_aggregate_template(queensland_store):
@@ -102,7 +102,7 @@ def test_structured_backtick_escape_hatch(invoices_store):
 
 def test_structured_bad_backtick_is_translation_failure(invoices_store):
     outcome = run_structured_adapter(rq_structured("run `selekt things`"), invoices_store)
-    assert outcome.error.klass is FeedbackClass.TRANSLATION_FAILED
+    assert outcome.error.error_class is FeedbackClass.TRANSLATION_FAILED
 
 
 def test_in_list_equals_union_of_single_value_queries(invoices_store):
@@ -156,7 +156,7 @@ def test_vector_no_match_mirrors_empty_document_id(smoky_store):
     )
     outcome = run_vector_adapter(rq, smoky_store.index)
     assert outcome.error is not None
-    assert outcome.error.klass is FeedbackClass.NO_MATCH
+    assert outcome.error.error_class is FeedbackClass.NO_MATCH
     assert outcome.answer_value == []
 
 
@@ -192,7 +192,7 @@ def test_vector_doc_filter_from_bindings_matches_oracle():
 
 def test_vector_empty_index_is_infrastructure_error():
     outcome = run_vector_adapter(rq_vector("anything"), VectorIndex())
-    assert outcome.error.klass is FeedbackClass.STORE_ERROR
+    assert outcome.error.error_class is FeedbackClass.STORE_ERROR
     assert outcome.error.infrastructure
 
 

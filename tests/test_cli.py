@@ -284,10 +284,55 @@ def _removed_config_key(key, value):
     return bad_input
 
 
+def _config_file(case, content):
+    """A ``--config`` file holding ``content``: not an object, or cut short."""
+    def bad_input(tmp_path, store_dir, monkeypatch):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(content)
+        return ["ask", "--question", "q?", "--store", str(store_dir), "--config", str(config_file)], str(config_file)
+    bad_input.__name__ = f"_config_file_{case}"
+    return bad_input
+
+
+def _torn_scripted_planner(tmp_path, store_dir, monkeypatch):
+    script = tmp_path / "script.json"
+    script.write_text('{"q?": ', encoding="utf-8")
+    return ["ask", "--question", "q?", "--store", str(store_dir), "--planner", f"scripted:{script}"], str(script)
+
+
+def _schema_table_without_name(tmp_path, store_dir, monkeypatch):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"tables": [{"columns": []}]}), encoding="utf-8")
+    return (["validate", "--plan", str(FIXTURES / "olympics" / "plan.json"), "--schema", str(schema)],
+            f"{schema}: missing key 'name'")
+
+
+def _ingest_file(case, name, content, named):
+    """``adot ingest`` with one bad input file, ``name``, holding ``content``; ``named`` follows its path."""
+    def bad_input(tmp_path, store_dir, monkeypatch):
+        path = tmp_path / name
+        path.write_text(content, encoding="utf-8")
+        tables = path if name != "docs.jsonl" else FIXTURES / "olympics" / "tables.json"
+        docs = path if name == "docs.jsonl" else FIXTURES / "olympics" / "docs.jsonl"
+        return ["ingest", "--tables", str(tables), "--docs", str(docs), "--out", str(tmp_path / "out")], f"{path}: {named}"
+    bad_input.__name__ = f"_ingest_{case}"
+    return bad_input
+
+
 @pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
                                        _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
                                        _torn_store_chunks, _store_table_file_missing, _unknown_config_key, _removed_config_key("dataops", False),
-                                       _removed_config_key("alpha", 0.7)],
+                                       _removed_config_key("alpha", 0.7), _config_file("not_an_object", "[1]"),
+                                       _config_file("torn", '{"top_k": '),
+                                       _torn_scripted_planner, _schema_table_without_name,
+                                       _ingest_file("csv_long_row", "t.csv", "x,y\n1,2,3\n", "line 2: 3 fields"),
+                                       _ingest_file("csv_short_row", "t.csv", "x,y\n1,2\n3\n", "line 3: 1 fields"),
+                                       _ingest_file("table_without_columns", "tables.json", '{"tables": [{"name": "t"}]}', "missing key 'columns'"),
+                                       _ingest_file("table_row_of_wrong_type", "tables.json", json.dumps({"tables": [
+                                           {"name": "t", "columns": [{"name": "a", "type": "int"}], "rows": [["x"]]}]}),
+                                           "table 't' row 0"),
+                                       _ingest_file("document_without_text", "docs.jsonl", '{"document_id": 1}\n', "line 1: missing key 'text'"),
+                                       _ingest_file("torn_document", "docs.jsonl", '{"document_id": 1, "text": "a."}\n{"document_', "line 2: ")],
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys, monkeypatch):
     argv, named = bad_input(tmp_path, store_dir, monkeypatch)

@@ -11,6 +11,7 @@ from adot.adapters import AdapterOutcome, ResolvedSubQuery
 from adot.executor import (
     Binding,
     CycleDetectedError,
+    ExecutionFeedback,
     FeedbackClass,
     MissingKeyError,
     NoExposedResultsError,
@@ -122,8 +123,8 @@ def test_slim_large_result_payload_reduction():
 # --- resolve_question -----------------------------------------------------------
 
 
-def binding(label, view, answer=None):
-    return Binding(label=label, slim_view=view, answer_value=answer)
+def binding(view, answer=None):
+    return Binding(slim_view=view, answer_value=answer)
 
 
 def test_resolve_inline_single_value():
@@ -133,7 +134,7 @@ def test_resolve_inline_single_value():
          "tool": "sql", "label": "$var_2", "should_expose_answer": True, "answer_description": "d"},
     ]}
     plan = parse_doc(doc)
-    rq = resolve_question(plan.node(2), {"$var_1": binding("$var_1", {"document_id": (7,)})})
+    rq = resolve_question(plan.node(2), {"$var_1": binding({"document_id": (7,)})})
     assert rq.question_resolved == "What is the venue of the club with document_id in 7?"
     assert rq.bindings_in == {"$var_1": {"document_id": [7]}}
 
@@ -145,7 +146,7 @@ def test_resolve_quotes_text_values():
          "should_expose_answer": True, "answer_description": "d"},
     ]}
     plan = parse_doc(doc)
-    rq = resolve_question(plan.node(2), {"$var_1": binding("$var_1", {"name": ("ann", "bo")})})
+    rq = resolve_question(plan.node(2), {"$var_1": binding({"name": ("ann", "bo")})})
     assert rq.question_resolved == "lookup names in 'ann', 'bo'?"
 
 
@@ -161,7 +162,7 @@ def test_resolve_bare_ref_uses_answer_value():
          "should_expose_answer": True, "answer_description": "d"},
     ]}
     plan = parse_doc(doc)
-    rq = resolve_question(plan.node(2), {"$var_1": binding("$var_1", {"val": (5,)}, answer="the answer")})
+    rq = resolve_question(plan.node(2), {"$var_1": binding({"val": (5,)}, answer="the answer")})
     assert rq.question_resolved == "refine the answer please?"
 
 
@@ -183,12 +184,12 @@ def test_resolve_symbolic_beyond_threshold_and_adapter_equivalence(invoices_stor
          "tool": "sql", "label": "$var_2", "should_expose_answer": True, "answer_description": "d"},
     ]}
     plan = parse_doc(doc)
-    big = resolve_question(plan.node(2), {"$var_1": binding("$var_1", {"invoice_id": values})})
+    big = resolve_question(plan.node(2), {"$var_1": binding({"invoice_id": values})})
     assert "$var_1.invoice_id" in big.question_resolved
     assert big.bindings_in["$var_1"]["invoice_id"] == list(values)
 
     small_values = (1, 2, 3, 4)
-    small = resolve_question(plan.node(2), {"$var_1": binding("$var_1", {"invoice_id": small_values})})
+    small = resolve_question(plan.node(2), {"$var_1": binding({"invoice_id": small_values})})
     assert "in 1, 2, 3, 4?" in small.question_resolved
 
     big_outcome = run_structured_adapter(big, invoices_store)
@@ -203,7 +204,7 @@ def test_resolve_empty_value_list_stays_symbolic():
          "should_expose_answer": True, "answer_description": "d"},
     ]}
     plan = parse_doc(doc)
-    rq = resolve_question(plan.node(2), {"$var_1": binding("$var_1", {"document_id": ()})})
+    rq = resolve_question(plan.node(2), {"$var_1": binding({"document_id": ()})})
     assert "$var_1.document_id" in rq.question_resolved
     assert rq.bindings_in["$var_1"]["document_id"] == []
 
@@ -317,6 +318,30 @@ def test_failed_node_wall_ms_is_a_duration(doc, adapters, node_timeout, low_ms, 
     assert (record.status, record.error_class) == ("failed", klass.value)
     assert record.question_resolved == resolved  # None when resolution failed or never finished
     assert low_ms <= record.wall_ms < 10_000.0
+
+
+def test_adapter_feedback_is_recorded_with_its_node_index():
+    """An adapter's ExecutionFeedback carries no node index; the executor adds it."""
+    error = ExecutionFeedback(FeedbackClass.NO_MATCH, "nothing here")
+    adapter = lambda rq: AdapterOutcome(error=error)
+    result = execute_plan(parse_doc(ONE_NODE_DOC), adapters={Tool.STRUCTURED: adapter, Tool.VECTOR: adapter})
+    assert error.node_index is None
+    assert result.feedback == (ExecutionFeedback(FeedbackClass.NO_MATCH, "nothing here", node_index=1),)
+    assert result.plan_after.node(1).status is NodeStatus.FAILED
+
+
+def test_node_failed_in_an_earlier_pass_and_now_skipped_counts_as_skipped():
+    doc = {"subquestions": [
+        {"question": "a?", "tool": "sql", "label": "$var_1", "should_expose_answer": False},
+        {"question": "b $var_1.val?", "tool": "sql", "label": "$var_2", "should_expose_answer": True,
+         "answer_description": "d", "status": "failed"},
+    ]}
+    result = execute_plan(parse_doc(doc), adapters=simulated_adapters(fail_nodes=frozenset({1})))
+    assert [f.node_index for f in result.feedback] == [1]
+    assert result.skipped == (2,)
+    assert result.plan_after.node(2).status is NodeStatus.PENDING
+    final = result.lineage.records[-1]
+    assert (final.output_summary["failed_nodes"], final.output_summary["skipped_nodes"]) == ([1], [2])
 
 
 def test_node_timeout_bounds_wall_time():

@@ -361,6 +361,40 @@ def test_runtime_fix_resumes_from_unexecuted_nodes():
     assert any(r.kind == "node" and r.status == "failed" for r in records)
 
 
+def test_replan_that_rewords_an_executed_node_runs_it_again():
+    """A reworded node loses its binding, so it must run again even though the replanner kept it executed."""
+    import dataclasses
+
+    store = make_store("queensland")
+    broken_doc = {
+        "subquestions": [
+            {"question": "Find the document_id of the club that won the Bathurst 12 Hour?",
+             "tool": "milvus", "label": "$var_1", "should_expose_answer": False},
+            {"question": "please dance with $var_1.document_id?", "tool": "iceberg", "label": "$var_2",
+             "should_expose_answer": True, "answer_description": "Venue of the winning club"},
+        ]
+    }
+
+    class RewordingReplanner:
+        def replan(self, plan, schema, diagnoses):
+            node1 = plan.node(1)  # still executed
+            plan = plan.with_node(dataclasses.replace(node1, question=node1.question + " "))
+            return plan.with_node(dataclasses.replace(
+                plan.node(2), question="What is the venue of the club with document_id in $var_1.document_id?"))
+
+    pipeline = Pipeline(
+        store=store,
+        config=PipelineConfig(audit=False),
+        planner=ScriptedPlanner({QLD_QUESTION: broken_doc}),
+        replanner=RewordingReplanner(),
+    )
+    result = pipeline.answer_question(QLD_QUESTION)
+    assert result.status == "ok", result.messages
+    assert "Willowbank" in result.final_answer
+    assert [r.status for r in dataops_records(result)] == ["replan"]
+    assert sum(r.kind == "node" and r.node_index == 1 and r.status == "ok" for r in result.lineage.records) == 2
+
+
 def test_context_participates_in_cache_key():
     pipeline = olympics_pipeline()
     pipeline.answer_question(OLYMPICS_QUESTION)

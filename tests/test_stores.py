@@ -854,6 +854,8 @@ DAMAGED_STORE_FILES = {
     "table_missing": ("tables/athletes_1948.jsonl", Path.unlink, "missing"),
     "torn_schema": ("schema.json", _edit(lambda text: text[:-40]), "Expecting"),
     "schema_missing": ("schema.json", Path.unlink, "missing"),
+    "meta_alpha_out_of_range": ("meta.json", _edit(lambda text: '{"dim": 256, "alpha": 2}'), "alpha must be in [0, 1]"),
+    "meta_dim_not_a_number": ("meta.json", _edit(lambda text: '{"dim": "abc", "alpha": 0.5}'), "invalid literal"),
 }
 
 
