@@ -80,6 +80,9 @@ class CacheEntry:
 class CacheHit:
     plan: Plan
     strategy: str  # exact | template | semantic
+    cached_query: str  # the matched entry's normalized query, or its template text
+    similarity: float | None = None  # a semantic hit's cosine to the cached query
+    slots: dict[str, str] | None = None  # a template hit's captured values
 
 
 @dataclass
@@ -191,7 +194,7 @@ class PlanCache:
             if entry is not None and entry.kind == "concrete":
                 self._touch(key)
                 self.stats.hits_exact += 1
-                return CacheHit(plan=entry.plan, strategy="exact")
+                return CacheHit(entry.plan, "exact", nq)
 
             concretes: list[CacheEntry] = []  # in scope, most recently used first
             for entry in reversed(self._entries.values()):
@@ -204,7 +207,8 @@ class PlanCache:
                 if captured is not None:
                     self._touch(entry.key)
                     self.stats.hits_template += 1
-                    return CacheHit(plan=instantiate_skeleton(entry.plan, captured), strategy="template")
+                    plan = instantiate_skeleton(entry.plan, captured)
+                    return CacheHit(plan, "template", entry.key.normalized_query, slots=captured)
 
             best: CacheEntry | None = None
             best_sim = -1.0
@@ -220,7 +224,7 @@ class PlanCache:
             if best is not None and best_sim >= self.tau:
                 self._touch(best.key)
                 self.stats.hits_semantic += 1
-                return CacheHit(plan=best.plan, strategy="semantic")
+                return CacheHit(best.plan, "semantic", best.key.normalized_query, similarity=best_sim)
 
             self.stats.misses += 1
             return None

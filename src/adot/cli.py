@@ -10,6 +10,7 @@ file is named in it, with the line for a line-based file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from .adapters import ScriptedPlanner
 from .cache import CacheFileError, PlanCache
 from .jsonfiles import read_json, read_text
 from .lineage import LineageIOError, MissingRecordError, trace_answer
-from .pipeline import Pipeline, PipelineConfig, load_config, parse_bool
+from .pipeline import Pipeline, PipelineConfig, field_type, load_config
 from .plan_ir import ParseError, Plan, parse_plan
 from .stores.ingest import CHUNK_OVERLAP_CHARS, CHUNK_TARGET_CHARS, ingest
 from .stores.schema import GlobalSchema
@@ -67,20 +68,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.is_valid else 2
 
 
+def _config_flags(args: argparse.Namespace) -> dict:
+    """The config fields the command's flags set."""
+    fields = dataclasses.fields(PipelineConfig)
+    return {f.name: value for f in fields if (value := getattr(args, f.name, None)) is not None}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     plan_text, plan = _read_plan(args.plan)
     question = plan.source_query
-    store = load_store(args.store)
-    config = PipelineConfig(
-        store_dir=args.store,
-        max_parallel=args.max_parallel,
-        max_fix_iterations=args.max_fix_iterations,
-        cache_enabled=False,
-        audit=False,
-        lineage_path=args.lineage,
-        replanner=args.replanner,
-    )
-    pipeline = Pipeline(store=store, config=config, planner=ScriptedPlanner({question: plan_text}))
+    config = PipelineConfig(**_config_flags(args), cache_enabled=False, audit=False)
+    pipeline = Pipeline(load_store(config.store_dir), config, planner=ScriptedPlanner({question: plan_text}))
     result = pipeline.answer_question(question, on_record=_print_record if args.stream else None)
     if result.final_answer:
         print(result.final_answer)
@@ -94,25 +92,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:
-    config = load_config(
-        args.config,
-        store_dir=args.store,
-        planner=args.planner,
-        replanner=args.replanner,
-        cache_file=args.cache_file,
-        lineage_path=args.lineage,
-        max_parallel=args.max_parallel,
-        max_fix_iterations=args.max_fix_iterations,
-        tau=args.tau,
-        top_k=args.top_k,
-        cache_capacity=args.cache_capacity,
-        node_timeout=args.node_timeout,
-        context_role=args.context_role,
-        policy_flags=tuple(args.policy_flag or ()) or None,
-        audit=parse_bool(args.audit) if args.audit else None,
-        cache_enabled=False if args.no_cache else None,
-    )
-    pipeline = Pipeline.from_config(config)
+    pipeline = Pipeline.from_config(load_config(args.config, **_config_flags(args)))
     result = pipeline.answer_question(args.question, on_record=_print_record if args.stream else None)
     if result.final_answer:
         print(result.final_answer)
@@ -158,6 +138,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+# The config fields whose flag is not ``--<field-name>``; every other field's
+# flag parses its value as the field's ADOT_* variable does.
+_FLAGS = {
+    "store_dir": ("--store", {"required": True}),
+    "lineage_path": ("--lineage", {}),
+    "policy_flags": ("--policy-flag", {"action": "append"}),
+    "cache_enabled": ("--no-cache", {"action": "store_const", "const": False}),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names: set[str]) -> None:
+    """One flag per named config field, stored under the field's name."""
+    for f in dataclasses.fields(PipelineConfig):
+        if f.name in names:
+            flag, kwargs = _FLAGS.get(f.name, ("--" + f.name.replace("_", "-"), {"type": field_type(f).parse}))
+            parser.add_argument(flag, dest=f.name, help=f.metadata.get("help"), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adot",
@@ -182,33 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="validate and execute a plan file against a store")
     p.add_argument("--plan", required=True)
-    p.add_argument("--store", required=True)
     p.add_argument("--stream", action="store_true")
-    p.add_argument("--max-parallel", type=int, default=None)
-    p.add_argument("--lineage", default=None)
-    p.add_argument("--max-fix-iterations", type=int, default=3, help="0 turns DataOps off")
-    p.add_argument("--replanner", default=None)
+    _add_config_flags(p, {"store_dir", "max_parallel", "lineage_path", "max_fix_iterations", "replanner"})
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ask", help="answer a question end to end")
     p.add_argument("--question", required=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--planner", default=None, help="scripted:<file> or external:<command>")
-    p.add_argument("--replanner", default=None, help="external:<command>")
     p.add_argument("--config", default=None, help="JSON config file (ADOT_* env overrides apply)")
     p.add_argument("--stream", action="store_true")
-    p.add_argument("--cache-file", default=None)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--lineage", default=None)
-    p.add_argument("--max-parallel", type=int, default=None)
-    p.add_argument("--max-fix-iterations", type=int, default=None, help="0 turns DataOps off")
-    p.add_argument("--audit", default=None, choices=["on", "off"])
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--cache-capacity", type=int, default=None)
-    p.add_argument("--node-timeout", type=float, default=None)
-    p.add_argument("--context-role", default=None)
-    p.add_argument("--policy-flag", action="append", default=None)
+    _add_config_flags(p, {f.name for f in dataclasses.fields(PipelineConfig)})
     p.set_defaults(func=_cmd_ask)
 
     p = sub.add_parser("cache", help="inspect or clear a persistent cache file")

@@ -16,7 +16,7 @@ import logging
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .adapters import (
     ExternalPlanner,
@@ -48,15 +48,17 @@ EXIT_CODES = {"ok": 0, "execution_failed": 3, "unrecoverable": 4, "no_plan": 4}
 
 @dataclass
 class PipelineConfig:
+    """Every setting; a value from a file, the env, a flag or a caller is checked by its annotation."""
+
     store_dir: str | None = None
     cache_capacity: int = 128
     tau: float = 0.85
     top_k: int = 5
     max_parallel: int | None = None
-    max_fix_iterations: int = DEFAULT_MAX_ITERATIONS  # 0 turns DataOps off
+    max_fix_iterations: int = field(default=DEFAULT_MAX_ITERATIONS, metadata={"help": "0 turns DataOps off"})
     node_timeout: float = 30.0
-    planner: str | None = None  # "scripted:<file>" or "external:<command>"
-    replanner: str | None = None  # "external:<command>"
+    planner: str | None = field(default=None, metadata={"help": "scripted:<file> or external:<command>"})
+    replanner: str | None = field(default=None, metadata={"help": "external:<command>"})
     context_role: str = "default"
     policy_flags: tuple[str, ...] = ()
     audit: bool = True
@@ -65,6 +67,14 @@ class PipelineConfig:
     lineage_path: str | None = None
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith(" | None"):
+                continue
+            if not field_type(f).accepts(value):
+                raise ValueError(f"{f.name}: expected {f.type}, got {value!r}")
+            if isinstance(value, list):
+                setattr(self, f.name, tuple(value))
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
         if self.cache_capacity < 1:
@@ -75,8 +85,6 @@ class PipelineConfig:
             raise ValueError("max_fix_iterations must be >= 0")
         if self.max_parallel is not None and self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
-        if isinstance(self.policy_flags, list):
-            self.policy_flags = tuple(self.policy_flags)
 
     @property
     def context(self) -> Context:
@@ -92,22 +100,29 @@ def parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-_ENV_PARSERS: dict[str, Callable[[str], Any]] = {
-    "bool": parse_bool,
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[str, ...]": lambda raw: tuple(s for s in raw.split(",") if s),
+def _parse_list(raw: str) -> tuple[str, ...]:
+    return tuple(s for s in raw.split(",") if s)
+
+
+class FieldType(NamedTuple):
+    parse: Callable[[str], Any]  # an ADOT_* value or a flag
+    accepts: Callable[[Any], bool]  # any value: a config file's, a constructor's
+
+
+_FIELD_TYPES: dict[str, FieldType] = {
+    "bool": FieldType(parse_bool, lambda v: isinstance(v, bool)),
+    "int": FieldType(int, lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": FieldType(float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "str": FieldType(str, lambda v: isinstance(v, str)),
+    "tuple[str, ...]": FieldType(
+        _parse_list, lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)
+    ),
 }
 
 
-def _coerce_env(key: str, raw: str, f: dataclasses.Field) -> Any:
-    """Parse ``raw`` by the field's annotation; ``X | None`` parses as ``X``."""
-    parse = _ENV_PARSERS[f.type.removesuffix(" | None")]
-    try:
-        return parse(raw)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+def field_type(f: dataclasses.Field) -> FieldType:
+    """The type of a config field by its annotation; ``X | None`` is typed as ``X``."""
+    return _FIELD_TYPES[f.type.removesuffix(" | None")]
 
 
 def _config_fields(obj: Any) -> dict[str, Any]:
@@ -116,6 +131,7 @@ def _config_fields(obj: Any) -> dict[str, Any]:
     unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(PipelineConfig)})
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    PipelineConfig(**obj)  # checks the file's own values, so a bad one names the file
     return obj
 
 
@@ -126,24 +142,28 @@ def load_config(
 ) -> PipelineConfig:
     """Build a config with precedence: defaults < file < ADOT_* env < overrides.
 
-    A key in the file that is not a config field is a ``ValueError``.
+    A key in the file that is not a config field, or a value its field does
+    not accept, is a ``ValueError`` naming the file; an ``ADOT_*`` value that
+    does not parse is one naming the variable.
     """
-    fields = dataclasses.fields(PipelineConfig)
     data: dict[str, Any] = {}
     if path is not None:
         data.update(read_json(path, _config_fields, ValueError))
     env = os.environ if env is None else env
-    for f in fields:
+    for f in dataclasses.fields(PipelineConfig):
         key = f"ADOT_{f.name.upper()}"
         if key in env:
-            data[f.name] = _coerce_env(key, env[key], f)
+            try:
+                data[f.name] = field_type(f).parse(env[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     data.update({k: v for k, v in overrides.items() if v is not None})
     return PipelineConfig(**data)
 
 
-def build_planner(spec: str | Planner | None) -> Planner | None:
-    if spec is None or not isinstance(spec, str):
-        return spec
+def build_planner(spec: str | None) -> Planner | None:
+    if spec is None:
+        return None
     if spec.startswith("scripted:"):
         return ScriptedPlanner.from_file(spec.split(":", 1)[1])
     if spec.startswith("external:"):
@@ -151,15 +171,11 @@ def build_planner(spec: str | Planner | None) -> Planner | None:
     raise ValueError(f"unknown planner spec {spec!r}")
 
 
-def build_replanner(spec: str | Replanner | None) -> Replanner:
+def build_replanner(spec: str | None) -> Replanner:
     if spec is None:
         return NoOpReplanner()
-    if not isinstance(spec, str):
-        return spec
     if spec.startswith("external:"):
         return ExternalReplanner(spec.split(":", 1)[1])
-    if spec in ("noop", "none"):
-        return NoOpReplanner()
     raise ValueError(f"unknown replanner spec {spec!r}")
 
 
@@ -350,9 +366,9 @@ class Pipeline:
         if self.config.cache_enabled:
             hit = self.cache.lookup(question, signature, context)
             if hit is not None:
-                lineage.append(
-                    LineageRecord(kind="cache", status="hit", extra={"strategy": hit.strategy})
-                )
+                extra = {"strategy": hit.strategy, "cached_query": hit.cached_query,
+                         "similarity": hit.similarity, "slots": hit.slots}
+                lineage.append(LineageRecord(kind="cache", status="hit", extra=extra))
                 return hit.plan, hit.strategy
         if self.planner is None:
             return None, None

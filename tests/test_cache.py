@@ -105,6 +105,21 @@ def test_template_hit_instantiates_slot_values():
     assert "{state}" not in question
 
 
+def test_hit_names_the_entry_it_reused():
+    cache = invoice_template_cache()
+    template = cache.lookup("Give me the average total amount for invoice receivers from Ohio", SIG_A, CTX)
+    assert template.cached_query == "give me the average total amount for invoice receivers from {state:identifier}"
+    assert template.slots == {"state": "ohio"} and template.similarity is None
+    cache.insert("Alpha beta gamma?", SIG_A, CTX, simple_plan())
+    exact = cache.lookup("alpha  BETA gamma", SIG_A, CTX)
+    assert (exact.strategy, exact.cached_query, exact.similarity, exact.slots) == ("exact", "alpha beta gamma", None, None)
+    semantic = cache.lookup("gamma beta alpha delta", SIG_A, CTX)
+    assert semantic.strategy == "semantic" and semantic.cached_query == "alpha beta gamma"
+    embed = cache.embedder.embed
+    assert semantic.similarity == cosine(embed("gamma beta alpha delta"), embed("alpha beta gamma"))
+    assert semantic.slots is None
+
+
 def test_template_requires_exact_token_alignment():
     cache = invoice_template_cache()
     assert cache.lookup("Give me the maximum total amount for invoice receivers from Ohio", SIG_A, CTX) is None

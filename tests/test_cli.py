@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from adot.cache import PlanCache
-from adot.cli import main
+from adot.cli import build_parser, main
 from adot.lineage import read_lineage
 from adot.pipeline import Pipeline, PipelineConfig
 from adot.stores.ingest import ingest
@@ -294,6 +297,17 @@ def _config_file(case, content):
     return bad_input
 
 
+def _config_value(key, value):
+    """A ``--config`` file whose ``key`` holds a value of the wrong type."""
+    def bad_input(tmp_path, store_dir, monkeypatch):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({key: value}))
+        return (["ask", "--question", "q?", "--store", str(store_dir), "--config", str(config_file)],
+                f"{config_file}: {key}: expected ")
+    bad_input.__name__ = f"_config_value_{key}"
+    return bad_input
+
+
 def _torn_scripted_planner(tmp_path, store_dir, monkeypatch):
     script = tmp_path / "script.json"
     script.write_text('{"q?": ', encoding="utf-8")
@@ -323,7 +337,9 @@ def _ingest_file(case, name, content, named):
                                        _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
                                        _torn_store_chunks, _store_table_file_missing, _unknown_config_key, _removed_config_key("dataops", False),
                                        _removed_config_key("alpha", 0.7), _config_file("not_an_object", "[1]"),
-                                       _config_file("torn", '{"top_k": '),
+                                       _config_file("torn", '{"top_k": '), _config_value("top_k", 2.5),
+                                       _config_value("policy_flags", "pii"), _config_value("audit", "off"),
+                                       _config_value("max_parallel", True), _config_value("tau", "abc"),
                                        _torn_scripted_planner, _schema_table_without_name,
                                        _ingest_file("csv_long_row", "t.csv", "x,y\n1,2,3\n", "line 2: 3 fields"),
                                        _ingest_file("csv_short_row", "t.csv", "x,y\n1,2\n3\n", "line 3: 1 fields"),
@@ -341,6 +357,45 @@ def test_bad_input_exits_2_with_a_message(bad_input, store_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("adot: ") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, raw, message", [("--top-k", "abc", "argument --top-k: invalid int value: 'abc'"),
+                                               ("--audit", "maybe", "argument --audit: invalid parse_bool value: 'maybe'")],
+                         ids=["top_k", "audit"])
+def test_bad_flag_value_exits_2_naming_the_flag(flag, raw, message, store_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ask", "--question", "q?", "--store", str(store_dir), flag, raw])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_audit_flag_parses_as_its_env_variable():
+    for raw, expected in (("off", False), ("0", False), ("ON", True), ("yes", True)):
+        args = build_parser().parse_args(["ask", "--question", "q?", "--store", "s", "--audit", raw])
+        assert args.audit is expected
+
+
+ASK_FLAGS = {"--question", "--store", "--planner", "--replanner", "--config", "--stream", "--cache-file", "--no-cache",
+             "--lineage", "--max-parallel", "--max-fix-iterations", "--audit", "--tau", "--top-k", "--cache-capacity",
+             "--node-timeout", "--context-role", "--policy-flag"}
+RUN_FLAGS = {"--plan", "--store", "--stream", "--max-parallel", "--lineage", "--max-fix-iterations", "--replanner"}
+
+
+def _flags(command):
+    """``command``'s flags: their option string and where each stores its value."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return {a.option_strings[0]: a.dest for a in subparsers.choices[command]._actions if a.option_strings[0] != "-h"}
+
+
+def test_ask_and_run_flags_are_the_config_fields_and_the_readme_synopsis():
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    ask, run = _flags("ask"), _flags("run")
+    assert set(ask) == ASK_FLAGS and set(run) == RUN_FLAGS
+    config_flags = [dest for dest in ask.values() if dest in fields]
+    assert sorted(config_flags) == sorted(fields)  # each field is set by exactly one flag
+    assert set(ask.items()) >= {(flag, dest) for flag, dest in run.items() if dest in fields}
+    synopsis = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    assert ASK_FLAGS | RUN_FLAGS <= set(re.findall(r"--[a-z-]+", synopsis))
 
 
 def test_store_alpha_ranks_chunks_for_run_and_ask_alike(tmp_path, capsys):

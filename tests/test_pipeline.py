@@ -6,13 +6,18 @@ import json
 import pytest
 
 from adot.adapters import ScriptedPlanner
+from adot.cache import normalize_query
 from adot.pipeline import Pipeline, PipelineConfig, load_config
 from adot.lineage import read_lineage, trace_answer
 from adot.plan_ir import parse_plan
+from adot.stores.vector import cosine
 from conftest import FIXTURES, make_store
 
 OLYMPICS_QUESTION = (
     "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
+)
+PARAPHRASE = (
+    "In the event that had 70 competitors from 39 countries, with 64 finishers, what year was the athlete born?"
 )
 QLD_QUESTION = "Where is the venue of the club that won the Bathurst 12 Hour located?"
 TEEN_QUESTION = (
@@ -170,6 +175,22 @@ def test_cache_lineage_record_on_hit(tmp_path):
     assert records[0].extra["strategy"] == "exact"
 
 
+def test_cache_lineage_record_names_the_reused_question_and_its_similarity(tmp_path):
+    """A semantic hit's record is what a check after the hit reads: what was reused, and how close it was."""
+    pipeline = olympics_pipeline(tau=0.8)
+    pipeline.answer_question(OLYMPICS_QUESTION)
+    pipeline.config.lineage_path = str(tmp_path / "hit.jsonl")
+    near = OLYMPICS_QUESTION.replace("event", "race")
+    assert pipeline.answer_question(near).cache_strategy == "semantic"
+    record = read_lineage(tmp_path / "hit.jsonl")[0]
+    assert record.kind == "cache" and record.extra["strategy"] == "semantic"
+    assert record.extra["cached_query"] == normalize_query(OLYMPICS_QUESTION)
+    embed = pipeline.cache.embedder.embed
+    assert record.extra["similarity"] == cosine(embed(normalize_query(near)), embed(normalize_query(OLYMPICS_QUESTION)))
+    assert 0.8 <= record.extra["similarity"] < 1.0
+    assert record.extra["slots"] is None
+
+
 def test_records_streamed_through_callback(tmp_path):
     """The stream is the lineage, in seq order, cache and dataops records included."""
     from plangen import seeded_corruptions
@@ -255,6 +276,18 @@ def test_config_range_validation():
         PipelineConfig(cache_capacity=0)
 
 
+@pytest.mark.parametrize("key, value", [("policy_flags", "pii"), ("top_k", True), ("audit", "off"),
+                                        ("tau", "abc"), ("max_parallel", 2.0), ("store_dir", 3)])
+def test_config_value_of_the_wrong_type_names_its_field(key, value):
+    with pytest.raises(ValueError, match=f"^{key}: expected "):
+        PipelineConfig(**{key: value})
+
+
+def test_config_takes_an_int_for_a_float_and_a_list_for_a_tuple():
+    config = PipelineConfig(tau=1, node_timeout=2, policy_flags=["pii", "audit"], max_parallel=None)
+    assert (config.tau, config.node_timeout, config.policy_flags) == (1, 2, ("pii", "audit"))
+
+
 def test_concurrent_sessions_share_cache_safely():
     import threading
 
@@ -296,10 +329,7 @@ def test_adapter_crash_becomes_store_error_feedback():
 def test_semantic_cache_hit_end_to_end():
     pipeline = olympics_pipeline(tau=0.8)
     first = pipeline.answer_question(OLYMPICS_QUESTION)
-    paraphrase = (
-        "In the event that had 70 competitors from 39 countries, with 64 finishers, what year was the athlete born?"
-    )
-    second = pipeline.answer_question(paraphrase)
+    second = pipeline.answer_question(PARAPHRASE)
     assert second.cache_strategy == "semantic"
     assert second.final_answer == first.final_answer
     assert pipeline.planner_calls == 1
