@@ -1,7 +1,7 @@
 """adot: DAG-orchestrated multi-hop query engine over a hybrid data lake.
 
 Compiles natural-language questions into validated DAG plans of atomic
-sub-queries, executes them in parallel waves across an in-memory relational
+sub-queries, executes them in dependency waves across an in-memory relational
 store and a hybrid dense+sparse vector index, repairs failing plans through
 a bounded diagnose/fix/replan loop, caches validated plans (exact, template
 and semantic retrieval with LRU eviction), and records full data lineage

@@ -1,7 +1,7 @@
 """Command line surface: ingest, validate, run, ask, cache, trace.
 
 Exit codes: 0 ok, 2 bad input, 3 execution failure, 4 unrecoverable or
-no plan. A plan that fails validation and cannot be fixed exits 2 from
+no plan, 141 standard output closed by its reader. A plan that fails validation and cannot be fixed exits 2 from
 ``validate`` and ``run`` and 4 (unrecoverable) from ``ask``. Bad input,
 ``ingest``'s included, prints one line, ``adot: <message>``; a bad input
 file is named in it, with the line for a line-based file.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -207,7 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (``adot ask --stream | head -1``):
+        # send what is still buffered to devnull so the flush at exit cannot
+        # fail again, and exit as a shell reports a SIGPIPE death, silently.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, LineageIOError, MissingRecordError) as exc:
         print(f"adot: {exc}", file=sys.stderr)  # bad input: a message, not a traceback
         return 2

@@ -1,12 +1,16 @@
 """Topological wave execution with variable slimming.
 
-Nodes whose dependencies are all satisfied form a wave; a wave's nodes run
-concurrently on a thread pool while all bookkeeping (bindings, lineage
-records) happens on the coordinating thread in node order, which keeps runs
-deterministic regardless of parallelism. A failed node fails alone: its
-dependents are skipped, sibling branches keep running, and the failure is
-returned as structured feedback for the remediation loop. The lineage log
-is the only record of a run; a caller that wants it live passes
+Nodes whose dependencies are all satisfied form a wave. A node whose adapter
+is marked ``in_process`` (the built-in adapters, which do GIL-bound work in
+this process) runs on the coordinating thread; any other adapter may block,
+so its nodes run on a thread pool, created only for a wave that holds one.
+A wave's pooled nodes are submitted first and share one deadline; its
+in-process nodes then run, and every node is settled (bound, failed or
+skipped, and recorded) on the coordinating thread in node order, which
+keeps runs deterministic whatever runs where. A failed node fails alone:
+its dependents are skipped, sibling branches keep running, and the failure
+is returned as structured feedback for the remediation loop. The lineage
+log is the only record of a run; a caller that wants it live passes
 ``lineage=LineageLog(on_record=...)``.
 """
 
@@ -14,8 +18,7 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -84,12 +87,13 @@ def _failure(error_class: FeedbackClass, message: str) -> AdapterOutcome:
 
 
 def make_default_adapters(store: Store, k: int = DEFAULT_TOP_K) -> dict[Tool, AdapterFn]:
+    """The built-in adapters, marked ``in_process`` so their nodes run on the coordinating thread."""
     # Each lambda looks its adapter up as a module global when called, so a
     # wrapper installed on this module later still sees every call.
-    return {
-        Tool.STRUCTURED: lambda rq: run_structured_adapter(rq, store),
-        Tool.VECTOR: lambda rq: run_vector_adapter(rq, store.index, k=k),
-    }
+    structured = lambda rq: run_structured_adapter(rq, store)
+    vector = lambda rq: run_vector_adapter(rq, store.index, k=k)
+    structured.in_process = vector.in_process = True
+    return {Tool.STRUCTURED: structured, Tool.VECTOR: vector}
 
 
 def topological_waves(plan: Plan) -> list[list[int]]:
@@ -285,9 +289,15 @@ def execute_plan(
     :class:`ExecutionFeedback`, its dependents are skipped, and independent
     branches keep executing. ``initial_bindings`` lets a remediation loop
     resume a partially executed plan without recomputing executed nodes.
-    ``max_parallel`` defaults to the widest wave, capped at 8. A node that
-    runs longer than ``node_timeout`` seconds fails as a timeout; its
-    worker is abandoned, never waited for, so the call returns on time.
+    A node whose adapter is marked ``in_process`` runs on the calling
+    thread and cannot be interrupted: if it ran longer than
+    ``node_timeout`` seconds, it fails as a timeout once it returns and its
+    result is dropped. Other nodes run on a thread pool of ``max_parallel``
+    workers (default: the widest wave, capped at 8), and a wave's pooled
+    nodes share one deadline, ``node_timeout`` seconds from their
+    submission: a node still running then fails as a timeout and its worker
+    is abandoned, never waited for, so the call returns on time; a node
+    still queued is cancelled and recorded as skipped.
     The ``ok`` record of an exposing node carries its partial answer:
     ``answer_value_sample`` in ``output_summary`` and ``answer_description``
     in ``extra``.
@@ -372,41 +382,56 @@ def execute_plan(
         except Exception as exc:  # an adapter bug fails its node, not the run
             logger.error("node %d adapter raised", index, exc_info=exc)
             outcome = _failure(FeedbackClass.STORE_ERROR, f"adapter raised: {exc}")
-        return rq, outcome, (time.perf_counter() - t0) * 1000.0
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        if elapsed_ms > node_timeout * 1000.0:  # detected after the fact: an in-process node cannot be stopped
+            outcome = _failure(FeedbackClass.TIMEOUT, f"node {index} exceeded {node_timeout}s")
+        return rq, outcome, elapsed_ms
 
     if max_parallel is None:
         widest = max((len(w) for w in waves), default=1)
         max_parallel = max(1, min(widest, MAX_PARALLEL_CAP))
 
-    pool = ThreadPoolExecutor(max_workers=max_parallel)
-    timed_out = False
+    pool: ThreadPoolExecutor | None = None
+    abandoned = False
     try:
         for wave in waves:
-            futures = {}
+            ready = []
             for i in wave:
                 if all(nodes[d].executed for d in graph[i]):
-                    futures[i] = pool.submit(run_node, i)
+                    ready.append(i)
                 else:
                     record(i, "skipped")
-            for i, future in futures.items():
-                waiting = time.perf_counter()
-                try:
-                    finished = future.result(timeout=node_timeout)
-                except FutureTimeoutError:
-                    timed_out = True
-                    if future.cancel():  # still queued behind a hung worker: it never ran
-                        record(i, "skipped", extra={"reason": "not started: an earlier node of its wave timed out"})
+            pooled = [i for i in ready if not getattr(adapters.get(nodes[i].tool), "in_process", False)]
+            if pooled and pool is None:
+                pool = ThreadPoolExecutor(max_workers=max_parallel)
+            submitted = time.perf_counter()
+            futures = {i: pool.submit(run_node, i) for i in pooled}
+            finished = {i: run_node(i) for i in ready if i not in futures}
+            if futures:
+                remaining = node_timeout - (time.perf_counter() - submitted)
+                _, late = wait(futures.values(), timeout=max(0.0, remaining))
+                waited_ms = (time.perf_counter() - submitted) * 1000.0
+                for i, future in futures.items():
+                    if future not in late:
+                        finished[i] = future.result()
+                    elif future.cancel():  # still queued behind a hung worker: it never ran
+                        finished[i] = None
                     else:
-                        settle(i, None, _failure(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
-                               (time.perf_counter() - waiting) * 1000.0)
+                        abandoned = True
+                        finished[i] = (None, _failure(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
+                                       waited_ms)
+            for i in ready:
+                if finished[i] is None:
+                    record(i, "skipped", extra={"reason": "not started: an earlier node of its wave timed out"})
                 else:
-                    settle(i, *finished)
+                    settle(i, *finished[i])
     finally:
-        # Join the workers, unless one timed out: it may still be running, and
-        # waiting for it would stretch the call past node_timeout. (Never
+        # Join the workers, unless one was abandoned: it may still be running,
+        # and waiting for it would stretch the call past node_timeout. (Never
         # joining lets exiting threads pile up across answers: vec_churn's
         # peak RSS rose 6 to 10%.)
-        pool.shutdown(wait=not timed_out, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(wait=not abandoned, cancel_futures=True)
 
     ordered = sorted(nodes)
     failed = [i for i in ordered if nodes[i].status is NodeStatus.FAILED]

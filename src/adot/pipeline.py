@@ -54,7 +54,8 @@ class PipelineConfig:
     cache_capacity: int = 128
     tau: float = 0.85
     top_k: int = 5
-    max_parallel: int | None = None
+    max_parallel: int | None = field(
+        default=None, metadata={"help": "thread pool size for adapters not marked in_process (not the built-in ones)"})
     max_fix_iterations: int = field(default=DEFAULT_MAX_ITERATIONS, metadata={"help": "0 turns DataOps off"})
     node_timeout: float = 30.0
     planner: str | None = field(default=None, metadata={"help": "scripted:<file> or external:<command>"})

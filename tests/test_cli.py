@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +217,24 @@ def test_ask_max_parallel_one(store_dir, capsys):
         "--no-cache",
     ])
     assert code == 0
+
+
+def test_ask_into_a_closed_pipe_exits_141_silently(store_dir):
+    """`adot ask --stream | head -1`: the reader is gone, which is not bad input."""
+    question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adot.cli", "ask", "--question", question, "--store", str(store_dir),
+         "--planner", f"scripted:{FIXTURES / 'olympics' / 'script.json'}", "--no-cache", "--stream"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    proc.stdout.close()  # closed before the first record is written
+    try:
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+    assert (code, err) == (141, "")
 
 
 def _bad_env_value(tmp_path, store_dir, monkeypatch):

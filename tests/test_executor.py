@@ -389,6 +389,78 @@ def test_node_queued_behind_a_timed_out_node_is_skipped_not_timed_out():
     assert called == ["stuck?"]
 
 
+def test_a_pooled_wave_shares_one_deadline():
+    doc = {"subquestions": [
+        {"question": f"stuck {i}?", "tool": "sql", "label": f"$var_{i}", "should_expose_answer": True,
+         "answer_description": str(i)}
+        for i in (1, 2, 3)
+    ]}
+    release = threading.Event()
+
+    def stuck(rq):
+        release.wait(5.0)
+        return AdapterOutcome(result=rs([(1, 1)]), answer_value=1)
+
+    start = time.perf_counter()
+    try:
+        result = execute_plan(parse_doc(doc), adapters={Tool.STRUCTURED: stuck, Tool.VECTOR: stuck},
+                              max_parallel=3, node_timeout=0.3)
+        wall = time.perf_counter() - start
+    finally:
+        release.set()
+    assert [(f.node_index, f.error_class) for f in result.feedback] == [(i, FeedbackClass.TIMEOUT) for i in (1, 2, 3)]
+    assert not result.bindings
+    assert wall < 0.6, f"a wave of three stuck nodes took {wall:.2f}s with node_timeout 0.3s"
+
+
+def _unmarked(adapters):
+    """The adapters, each wrapped without the mark, so its nodes run on the pool."""
+    return {tool: (lambda rq, fn=fn: fn(rq)) for tool, fn in adapters.items()}
+
+
+def _marked(adapters):
+    """The adapters, each wrapped and marked to run on the coordinating thread."""
+    marked = _unmarked(adapters)
+    for fn in marked.values():
+        fn.in_process = True
+    return marked
+
+
+def test_in_process_node_that_overran_fails_as_timeout_after_it_returns():
+    doc = {"subquestions": [
+        {"question": "slow?", "tool": "sql", "label": "$var_1", "should_expose_answer": False},
+        {"question": "next uses $var_1.val?", "tool": "sql", "label": "$var_2",
+         "should_expose_answer": True, "answer_description": "d"},
+    ]}
+    result = execute_plan(parse_doc(doc), adapters=_marked(simulated_adapters(delay=0.2)), node_timeout=0.1)
+    assert [(f.node_index, f.error_class) for f in result.feedback] == [(1, FeedbackClass.TIMEOUT)]
+    assert not result.bindings
+    assert result.skipped == (2,)
+    (record,) = [r for r in result.lineage.records if r.kind == "node" and r.node_index == 1]
+    assert (record.status, record.error_class) == ("failed", "Timeout")
+    assert record.wall_ms >= 100.0
+
+
+def test_inline_pooled_and_mixed_runs_write_the_same_lineage(olympics_store, olympics_plan):
+    from test_pipeline import lineage_content
+
+    for plan, built_in in [(olympics_plan, make_default_adapters(olympics_store)),
+                           (parse_doc(DIAMOND_DOC), _marked(simulated_adapters()))]:
+        pooled = _unmarked(built_in)
+        mixed = {Tool.STRUCTURED: built_in[Tool.STRUCTURED], Tool.VECTOR: pooled[Tool.VECTOR]}
+        runs = [
+            execute_plan(plan, adapters=built_in),
+            execute_plan(plan, adapters=pooled),
+            execute_plan(plan, adapters=pooled, max_parallel=1),
+            execute_plan(plan, adapters=mixed),
+        ]
+        assert runs[0].ok
+        contents = [lineage_content(run) for run in runs]
+        assert all(content == contents[0] for content in contents[1:])
+        node_order = [r.node_index for r in runs[3].lineage.records if r.kind == "node"]
+        assert node_order == sorted(node_order) == [sq.index for sq in plan.subquestions]
+
+
 def test_diamond_parallel_timing():
     plan = parse_doc(DIAMOND_DOC)
     adapters = {

@@ -210,6 +210,36 @@ def test_records_streamed_through_callback(tmp_path):
     ]
 
 
+WIDE_QUESTION = "Who were the Jamaican athletes, and who ran in the event that had 70 competitors from 39 countries?"
+WIDE_PLAN = {"subquestions": [
+    {"question": "Find the document_id of the event that had 70 competitors from 39 countries, with 64 finishers?",
+     "tool": "milvus", "label": "$var_1", "should_expose_answer": False},
+    {"question": "What is the athlete of the athlete with nation in 'Jamaica'?", "tool": "iceberg",
+     "label": "$var_2", "should_expose_answer": True, "answer_description": "Jamaican athletes"},
+    {"question": "What is the athlete of the athlete with event_document_id in $var_1.document_id?",
+     "tool": "iceberg", "label": "$var_3", "should_expose_answer": True, "answer_description": "Athlete of the event"},
+]}
+
+
+def test_built_in_adapters_start_no_thread(monkeypatch):
+    import threading
+
+    from adot.executor import topological_waves
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("execute_plan created a thread pool")
+
+    monkeypatch.setattr("adot.executor.ThreadPoolExecutor", no_pool)
+    pipeline = Pipeline(store=make_store("olympics"), config=PipelineConfig(),
+                        planner=ScriptedPlanner({WIDE_QUESTION: WIDE_PLAN}))
+    assert topological_waves(parse_plan(json.dumps(WIDE_PLAN))) == [[1, 2], [3]]
+    threads = threading.active_count()
+    result = pipeline.answer_question(WIDE_QUESTION)
+    assert result.status == "ok", result.messages
+    assert result.final_answer == "Jamaican athletes: Arthur Wint, Herb McKenley\nAthlete of the event: Arthur Wint"
+    assert threading.active_count() == threads
+
+
 def test_cache_file_persists_across_pipelines(tmp_path):
     cache_file = tmp_path / "cache.json"
     first = olympics_pipeline(cache_file=str(cache_file))
