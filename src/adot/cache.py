@@ -33,6 +33,7 @@ import numpy as np
 from .plan_ir import Context, Plan, parse_plan, plan_to_json
 from .stores.vector import RESCORE_MARGIN, HashedBowEmbedder, cosine
 
+DEFAULT_CAPACITY = 128
 DEFAULT_TAU = 0.85
 SLOT_TYPES = ("number", "quoted_string", "identifier")
 
@@ -163,7 +164,7 @@ class PlanCache:
 
     def __init__(
         self,
-        capacity: int = 128,
+        capacity: int = DEFAULT_CAPACITY,
         tau: float = DEFAULT_TAU,
         embedder: HashedBowEmbedder | None = None,
     ):
@@ -294,7 +295,7 @@ class PlanCache:
     def load(
         cls,
         path: str | Path,
-        capacity: int = 128,
+        capacity: int = DEFAULT_CAPACITY,
         tau: float = DEFAULT_TAU,
         embedder: HashedBowEmbedder | None = None,
     ) -> "PlanCache":

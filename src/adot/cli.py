@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="validate and execute a plan file against a store")
     p.add_argument("--plan", required=True)
     p.add_argument("--stream", action="store_true")
-    _add_config_flags(p, {"store_dir", "max_parallel", "lineage_path", "max_fix_iterations", "replanner"})
+    _add_config_flags(p, {"store_dir", "lineage_path", "max_fix_iterations", "replanner"})
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("ask", help="answer a question end to end")

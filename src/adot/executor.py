@@ -3,7 +3,8 @@
 Nodes whose dependencies are all satisfied form a wave. A node whose adapter
 is marked ``in_process`` (the built-in adapters, which do GIL-bound work in
 this process) runs on the coordinating thread; any other adapter may block,
-so its nodes run on a thread pool, created only for a wave that holds one.
+so its nodes run on a thread pool that belongs to their wave alone: created
+only for a wave that holds one, and shut down when the wave ends.
 A wave's pooled nodes are submitted first and share one deadline; its
 in-process nodes then run, and every node is settled (bound, failed or
 skipped, and recorded) on the coordinating thread in node order, which
@@ -46,7 +47,7 @@ from .stores.store import Store
 
 logger = logging.getLogger(__name__)
 
-MAX_PARALLEL_CAP = 8
+MAX_PARALLEL_CAP = 8  # bounds the threads that one wave of a plan from outside can start
 INLINE_VALUE_LIMIT = 100
 DEFAULT_NODE_TIMEOUT = 30.0
 
@@ -278,7 +279,6 @@ def execute_plan(
     plan: Plan,
     store: Store | None = None,
     adapters: Mapping[Tool, AdapterFn] | None = None,
-    max_parallel: int | None = None,
     node_timeout: float = DEFAULT_NODE_TIMEOUT,
     lineage: LineageLog | None = None,
     initial_bindings: Mapping[str, Binding] | None = None,
@@ -292,12 +292,13 @@ def execute_plan(
     A node whose adapter is marked ``in_process`` runs on the calling
     thread and cannot be interrupted: if it ran longer than
     ``node_timeout`` seconds, it fails as a timeout once it returns and its
-    result is dropped. Other nodes run on a thread pool of ``max_parallel``
-    workers (default: the widest wave, capped at 8), and a wave's pooled
-    nodes share one deadline, ``node_timeout`` seconds from their
-    submission: a node still running then fails as a timeout and its worker
-    is abandoned, never waited for, so the call returns on time; a node
-    still queued is cancelled and recorded as skipped.
+    result is dropped. Other nodes run on a thread pool of their own wave,
+    one worker per node up to ``MAX_PARALLEL_CAP``, and share one deadline,
+    ``node_timeout`` seconds from their submission: a node still running
+    then fails as a timeout and its worker is abandoned, never waited for,
+    so the call returns on time; a node still queued (only in a wave of
+    more than ``MAX_PARALLEL_CAP`` pooled nodes) is cancelled and recorded
+    as skipped.
     The ``ok`` record of an exposing node carries its partial answer:
     ``answer_value_sample`` in ``output_summary`` and ``answer_description``
     in ``extra``.
@@ -387,23 +388,19 @@ def execute_plan(
             outcome = _failure(FeedbackClass.TIMEOUT, f"node {index} exceeded {node_timeout}s")
         return rq, outcome, elapsed_ms
 
-    if max_parallel is None:
-        widest = max((len(w) for w in waves), default=1)
-        max_parallel = max(1, min(widest, MAX_PARALLEL_CAP))
-
-    pool: ThreadPoolExecutor | None = None
-    abandoned = False
-    try:
-        for wave in waves:
-            ready = []
-            for i in wave:
-                if all(nodes[d].executed for d in graph[i]):
-                    ready.append(i)
-                else:
-                    record(i, "skipped")
-            pooled = [i for i in ready if not getattr(adapters.get(nodes[i].tool), "in_process", False)]
-            if pooled and pool is None:
-                pool = ThreadPoolExecutor(max_workers=max_parallel)
+    for wave in waves:
+        ready = []
+        for i in wave:
+            if all(nodes[d].executed for d in graph[i]):
+                ready.append(i)
+            else:
+                record(i, "skipped")
+        pooled = [i for i in ready if not getattr(adapters.get(nodes[i].tool), "in_process", False)]
+        # Each wave owns its pool, so a worker abandoned in one wave never
+        # holds a thread that a later wave needs.
+        pool = ThreadPoolExecutor(max_workers=min(len(pooled), MAX_PARALLEL_CAP)) if pooled else None
+        futures = {}
+        try:
             submitted = time.perf_counter()
             futures = {i: pool.submit(run_node, i) for i in pooled}
             finished = {i: run_node(i) for i in ready if i not in futures}
@@ -417,21 +414,18 @@ def execute_plan(
                     elif future.cancel():  # still queued behind a hung worker: it never ran
                         finished[i] = None
                     else:
-                        abandoned = True
                         finished[i] = (None, _failure(FeedbackClass.TIMEOUT, f"node {i} exceeded {node_timeout}s"),
                                        waited_ms)
-            for i in ready:
-                if finished[i] is None:
-                    record(i, "skipped", extra={"reason": "not started: an earlier node of its wave timed out"})
-                else:
-                    settle(i, *finished[i])
-    finally:
-        # Join the workers, unless one was abandoned: it may still be running,
-        # and waiting for it would stretch the call past node_timeout. (Never
-        # joining lets exiting threads pile up across answers: vec_churn's
-        # peak RSS rose 6 to 10%.)
-        if pool is not None:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+        finally:
+            # A worker still running is abandoned, not joined: waiting for it
+            # would stretch the call past node_timeout.
+            if pool is not None:
+                pool.shutdown(wait=all(f.done() for f in futures.values()), cancel_futures=True)
+        for i in ready:
+            if finished[i] is None:
+                record(i, "skipped", extra={"reason": "not started: an earlier node of its wave timed out"})
+            else:
+                settle(i, *finished[i])
 
     ordered = sorted(nodes)
     failed = [i for i in ordered if nodes[i].status is NodeStatus.FAILED]

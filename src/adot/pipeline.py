@@ -19,12 +19,13 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .adapters import (
+    DEFAULT_TOP_K,
     ExternalPlanner,
     Planner,
     PlannerMissError,
     ScriptedPlanner,
 )
-from .cache import CacheFileError, PlanCache
+from .cache import DEFAULT_CAPACITY, DEFAULT_TAU, CacheFileError, PlanCache
 from .dataops import (
     ActionKind,
     DEFAULT_MAX_ITERATIONS,
@@ -34,7 +35,7 @@ from .dataops import (
     diagnose,
     remediate,
 )
-from .executor import execute_plan, make_default_adapters
+from .executor import DEFAULT_NODE_TIMEOUT, execute_plan, make_default_adapters
 from .jsonfiles import read_json
 from .lineage import LineageLog, LineageRecord
 from .plan_ir import Context, NodeStatus, Plan
@@ -51,13 +52,11 @@ class PipelineConfig:
     """Every setting; a value from a file, the env, a flag or a caller is checked by its annotation."""
 
     store_dir: str | None = None
-    cache_capacity: int = 128
-    tau: float = 0.85
-    top_k: int = 5
-    max_parallel: int | None = field(
-        default=None, metadata={"help": "thread pool size for adapters not marked in_process (not the built-in ones)"})
+    cache_capacity: int = DEFAULT_CAPACITY
+    tau: float = DEFAULT_TAU
+    top_k: int = DEFAULT_TOP_K
     max_fix_iterations: int = field(default=DEFAULT_MAX_ITERATIONS, metadata={"help": "0 turns DataOps off"})
-    node_timeout: float = 30.0
+    node_timeout: float = DEFAULT_NODE_TIMEOUT
     planner: str | None = field(default=None, metadata={"help": "scripted:<file> or external:<command>"})
     replanner: str | None = field(default=None, metadata={"help": "external:<command>"})
     context_role: str = "default"
@@ -84,8 +83,6 @@ class PipelineConfig:
             raise ValueError("top_k must be >= 1")
         if self.max_fix_iterations < 0:
             raise ValueError("max_fix_iterations must be >= 0")
-        if self.max_parallel is not None and self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
 
     @property
     def context(self) -> Context:
@@ -315,7 +312,6 @@ class Pipeline:
                             plan,
                             self.store,
                             adapters=self.adapters,
-                            max_parallel=cfg.max_parallel,
                             node_timeout=cfg.node_timeout,
                             lineage=lineage,
                             initial_bindings=bindings,

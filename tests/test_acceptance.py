@@ -38,6 +38,7 @@ from plangen import (
     seeded_corruptions,
     simulated_adapters,
 )
+from test_executor import _marked, _unmarked
 from test_validator import SIM_SCHEMA, codes
 
 OLYMPICS_QUESTION = (
@@ -139,24 +140,26 @@ def test_acceptance_validator_oracle_equivalence():
 
 
 def test_acceptance_parallel_equals_sequential():
+    """In-process nodes (marked adapters) run one at a time, pooled ones (unmarked) a wave at once: same run."""
     rng = Random(424242)
     for _ in range(200):
         plan = parse_doc(random_valid_plan_doc(rng, max_nodes=8))
         outcomes = []
-        for max_parallel in (1, 4):
-            result = execute_plan(
-                plan, adapters=simulated_adapters(), max_parallel=max_parallel
-            )
+        for adapters in (_marked(simulated_adapters()), _unmarked(simulated_adapters())):
+            result = execute_plan(plan, adapters=adapters)
             assert result.ok
+            assert len(result.bindings) == len(plan.subquestions)  # single assignment: one binding per node
             normalized_lineage = sorted(
                 (
                     r.node_index,
                     r.label,
+                    r.tool,
                     r.status,
                     r.question_resolved,
                     json.dumps(r.output_summary, sort_keys=True, default=str),
                     tuple(r.provenance_refs),
                     r.input_labels,
+                    r.error_class,
                 )
                 for r in result.lineage.records
                 if r.kind == "node"
@@ -183,7 +186,7 @@ def test_acceptance_parallel_equals_sequential():
         }
     )
 
-    def timed(max_parallel: int) -> float:
+    def timed(wrap) -> float:
         from adot.adapters import AdapterOutcome
 
         def adapter(rq):
@@ -193,14 +196,13 @@ def test_acceptance_parallel_equals_sequential():
             return AdapterOutcome(result=rs, answer_value=rq.node_index)
 
         start = time.perf_counter()
-        execute_plan(diamond, adapters={Tool.STRUCTURED: adapter, Tool.VECTOR: adapter},
-                     max_parallel=max_parallel)
+        execute_plan(diamond, adapters=wrap({Tool.STRUCTURED: adapter, Tool.VECTOR: adapter}))
         return time.perf_counter() - start
 
-    parallel_wall = timed(2)
-    sequential_wall = timed(1)
-    assert parallel_wall < 0.160, f"parallel diamond took {parallel_wall:.3f}s"
-    assert sequential_wall >= 0.200, f"sequential diamond took {sequential_wall:.3f}s"
+    pooled_wall = timed(_unmarked)
+    in_process_wall = timed(_marked)
+    assert pooled_wall < 0.160, f"pooled diamond took {pooled_wall:.3f}s"
+    assert in_process_wall >= 0.200, f"in-process diamond took {in_process_wall:.3f}s"
     _report("parallel-equals-sequential")
 
 

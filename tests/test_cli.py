@@ -156,7 +156,7 @@ def test_cache_clear_on_an_unreadable_file_writes_an_empty_cache(unreadable_cach
 def test_ask_with_config_file_and_env_override(store_dir, tmp_path, capsys, monkeypatch):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"top_k": 3, "max_fix_iterations": 3}))
-    monkeypatch.setenv("ADOT_MAX_PARALLEL", "2")
+    monkeypatch.setenv("ADOT_TOP_K", "5")
     question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
     code = main([
         "ask",
@@ -204,19 +204,6 @@ def test_ask_scripted_entry_that_is_not_a_plan_exits_no_plan(store_dir, tmp_path
     assert code == 4
     err = capsys.readouterr().err
     assert "status: no_plan" in err and "Traceback" not in err
-
-
-def test_ask_max_parallel_one(store_dir, capsys):
-    question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
-    code = main([
-        "ask",
-        "--question", question,
-        "--store", str(store_dir),
-        "--planner", f"scripted:{FIXTURES / 'olympics' / 'script.json'}",
-        "--max-parallel", "1",
-        "--no-cache",
-    ])
-    assert code == 0
 
 
 def test_ask_into_a_closed_pipe_exits_141_silently(store_dir):
@@ -357,10 +344,11 @@ def _ingest_file(case, name, content, named):
 @pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
                                        _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
                                        _torn_store_chunks, _store_table_file_missing, _unknown_config_key, _removed_config_key("dataops", False),
+                                       _removed_config_key("max_parallel", 2),
                                        _removed_config_key("alpha", 0.7), _config_file("not_an_object", "[1]"),
                                        _config_file("torn", '{"top_k": '), _config_value("top_k", 2.5),
                                        _config_value("policy_flags", "pii"), _config_value("audit", "off"),
-                                       _config_value("max_parallel", True), _config_value("tau", "abc"),
+                                       _config_value("tau", "abc"),
                                        _torn_scripted_planner, _schema_table_without_name,
                                        _ingest_file("csv_long_row", "t.csv", "x,y\n1,2,3\n", "line 2: 3 fields"),
                                        _ingest_file("csv_short_row", "t.csv", "x,y\n1,2\n3\n", "line 3: 1 fields"),
@@ -397,9 +385,9 @@ def test_audit_flag_parses_as_its_env_variable():
 
 
 ASK_FLAGS = {"--question", "--store", "--planner", "--replanner", "--config", "--stream", "--cache-file", "--no-cache",
-             "--lineage", "--max-parallel", "--max-fix-iterations", "--audit", "--tau", "--top-k", "--cache-capacity",
+             "--lineage", "--max-fix-iterations", "--audit", "--tau", "--top-k", "--cache-capacity",
              "--node-timeout", "--context-role", "--policy-flag"}
-RUN_FLAGS = {"--plan", "--store", "--stream", "--max-parallel", "--lineage", "--max-fix-iterations", "--replanner"}
+RUN_FLAGS = {"--plan", "--store", "--stream", "--lineage", "--max-fix-iterations", "--replanner"}
 
 
 def _flags(command):

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from adot.adapters import AdapterOutcome, ResolvedSubQuery
+from adot.adapters import AdapterOutcome
 from adot.executor import (
     Binding,
     CycleDetectedError,
@@ -362,7 +362,8 @@ def test_node_timeout_bounds_wall_time():
     assert wall < 1.0, f"execute_plan waited {wall:.2f}s for a node that timed out after 0.2s"
 
 
-def test_node_queued_behind_a_timed_out_node_is_skipped_not_timed_out():
+def test_node_queued_behind_a_timed_out_node_is_skipped_not_timed_out(monkeypatch):
+    monkeypatch.setattr("adot.executor.MAX_PARALLEL_CAP", 1)  # a one-worker pool: node 2 queues behind node 1
     doc = {"subquestions": [
         {"question": "stuck?", "tool": "sql", "label": "$var_1", "should_expose_answer": True, "answer_description": "a"},
         {"question": "queued?", "tool": "sql", "label": "$var_2", "should_expose_answer": True, "answer_description": "b"},
@@ -378,7 +379,7 @@ def test_node_queued_behind_a_timed_out_node_is_skipped_not_timed_out():
 
     try:
         result = execute_plan(parse_doc(doc), adapters={Tool.STRUCTURED: adapter, Tool.VECTOR: adapter},
-                              max_parallel=1, node_timeout=0.2)
+                              node_timeout=0.2)
     finally:
         release.set()
     assert [(f.node_index, f.error_class) for f in result.feedback] == [(1, FeedbackClass.TIMEOUT)]
@@ -387,6 +388,35 @@ def test_node_queued_behind_a_timed_out_node_is_skipped_not_timed_out():
     assert record.status == "skipped"
     assert record.extra == {"reason": "not started: an earlier node of its wave timed out"}
     assert called == ["stuck?"]
+
+
+def test_a_worker_abandoned_in_one_wave_leaves_the_next_wave_a_thread(monkeypatch):
+    monkeypatch.setattr("adot.executor.MAX_PARALLEL_CAP", 1)
+    doc = {"subquestions": [
+        {"question": "fast?", "tool": "sql", "label": "$var_1", "should_expose_answer": False},
+        {"question": "stuck?", "tool": "sql", "label": "$var_2", "should_expose_answer": False},
+        {"question": "next uses $var_1.val?", "tool": "sql", "label": "$var_3",
+         "should_expose_answer": True, "answer_description": "d"},
+    ]}
+    release = threading.Event()
+
+    def adapter(rq):
+        if rq.question_resolved == "stuck?":
+            release.wait(5.0)
+        return AdapterOutcome(result=rs([(1, 1)]), answer_value=1)
+
+    start = time.perf_counter()
+    try:
+        result = execute_plan(parse_doc(doc), adapters={Tool.STRUCTURED: adapter, Tool.VECTOR: adapter},
+                              node_timeout=0.3)
+        wall = time.perf_counter() - start
+    finally:
+        release.set()
+    assert [(f.node_index, f.error_class) for f in result.feedback] == [(2, FeedbackClass.TIMEOUT)]
+    statuses = {r.node_index: r.status for r in result.lineage.records if r.kind == "node"}
+    assert statuses == {1: "ok", 2: "failed", 3: "ok"}
+    assert result.final_answer == "d: 1"
+    assert wall < 0.6, f"took {wall:.2f}s with node_timeout 0.3s"
 
 
 def test_a_pooled_wave_shares_one_deadline():
@@ -404,7 +434,7 @@ def test_a_pooled_wave_shares_one_deadline():
     start = time.perf_counter()
     try:
         result = execute_plan(parse_doc(doc), adapters={Tool.STRUCTURED: stuck, Tool.VECTOR: stuck},
-                              max_parallel=3, node_timeout=0.3)
+                              node_timeout=0.3)
         wall = time.perf_counter() - start
     finally:
         release.set()
@@ -451,86 +481,13 @@ def test_inline_pooled_and_mixed_runs_write_the_same_lineage(olympics_store, oly
         runs = [
             execute_plan(plan, adapters=built_in),
             execute_plan(plan, adapters=pooled),
-            execute_plan(plan, adapters=pooled, max_parallel=1),
             execute_plan(plan, adapters=mixed),
         ]
         assert runs[0].ok
         contents = [lineage_content(run) for run in runs]
         assert all(content == contents[0] for content in contents[1:])
-        node_order = [r.node_index for r in runs[3].lineage.records if r.kind == "node"]
+        node_order = [r.node_index for r in runs[2].lineage.records if r.kind == "node"]
         assert node_order == sorted(node_order) == [sq.index for sq in plan.subquestions]
-
-
-def test_diamond_parallel_timing():
-    plan = parse_doc(DIAMOND_DOC)
-    adapters = {
-        Tool.STRUCTURED: None,
-        Tool.VECTOR: None,
-    }
-
-    def slow_for_wave2(rq: ResolvedSubQuery) -> AdapterOutcome:
-        if rq.node_index in (2, 3):
-            time.sleep(0.1)
-        result = rs([(rq.node_index, rq.node_index)])
-        return AdapterOutcome(result=result, answer_value=rq.node_index)
-
-    adapters = {Tool.STRUCTURED: slow_for_wave2, Tool.VECTOR: slow_for_wave2}
-
-    start = time.perf_counter()
-    execute_plan(plan, adapters=adapters, max_parallel=2)
-    parallel_wall = time.perf_counter() - start
-
-    start = time.perf_counter()
-    execute_plan(plan, adapters=adapters, max_parallel=1)
-    sequential_wall = time.perf_counter() - start
-
-    assert parallel_wall < 0.160
-    assert sequential_wall >= 0.200
-
-
-def _normalized_lineage(result):
-    records = []
-    for rec in sorted(
-        (r for r in result.lineage.records if r.kind == "node"), key=lambda r: (r.node_index or 0, r.seq)
-    ):
-        records.append(
-            (
-                rec.node_index,
-                rec.label,
-                rec.tool,
-                rec.status,
-                rec.question_resolved,
-                json.dumps(rec.output_summary, sort_keys=True, default=str),
-                tuple(rec.provenance_refs),
-                rec.input_labels,
-                rec.error_class,
-            )
-        )
-    return records
-
-
-def test_parallel_equals_sequential_on_random_dags():
-    rng = Random(424242)
-    for _ in range(200):
-        doc = random_valid_plan_doc(rng, max_nodes=8)
-        plan = parse_doc(doc)
-        runs = []
-        for max_parallel in (1, 4):
-            result = execute_plan(
-                plan,
-                adapters=simulated_adapters(),
-                max_parallel=max_parallel,
-            )
-            assert result.ok
-            runs.append(result)
-        a, b = runs
-        assert a.final_answer == b.final_answer
-        assert {l: (dict(x.slim_view), x.answer_value) for l, x in a.bindings.items()} == {
-            l: (dict(x.slim_view), x.answer_value) for l, x in b.bindings.items()
-        }
-        assert _normalized_lineage(a) == _normalized_lineage(b)
-        # single assignment: one binding per node, all labels distinct
-        assert len(a.bindings) == len(plan.subquestions)
 
 
 def test_record_ordering_properties():
@@ -541,8 +498,7 @@ def test_record_ordering_properties():
         doc = random_valid_plan_doc(rng, max_nodes=6)
         plan = parse_doc(doc)
         seen = []
-        result = execute_plan(plan, adapters=simulated_adapters(), max_parallel=3,
-                              lineage=LineageLog(on_record=seen.append))
+        result = execute_plan(plan, adapters=simulated_adapters(), lineage=LineageLog(on_record=seen.append))
         assert seen == list(result.lineage.records)
         assert [r.seq for r in seen] == list(range(1, len(seen) + 1))
         assert [r.kind for r in seen] == ["node"] * len(plan.subquestions) + ["final"]

@@ -196,7 +196,7 @@ def test_records_streamed_through_callback(tmp_path):
     from plangen import seeded_corruptions
 
     store = make_store("queensland")
-    config = PipelineConfig(max_parallel=3, audit=False, lineage_path=str(tmp_path / "l.jsonl"))
+    config = PipelineConfig(audit=False, lineage_path=str(tmp_path / "l.jsonl"))
     pipeline = Pipeline(store=store, config=config)
     broken = parse_plan(json.dumps(seeded_corruptions()["BadLabelFormat"]))
     pipeline.cache.insert(QLD_QUESTION, store.signature, config.context, broken)
@@ -307,14 +307,14 @@ def test_config_range_validation():
 
 
 @pytest.mark.parametrize("key, value", [("policy_flags", "pii"), ("top_k", True), ("audit", "off"),
-                                        ("tau", "abc"), ("max_parallel", 2.0), ("store_dir", 3)])
+                                        ("tau", "abc"), ("store_dir", 3)])
 def test_config_value_of_the_wrong_type_names_its_field(key, value):
     with pytest.raises(ValueError, match=f"^{key}: expected "):
         PipelineConfig(**{key: value})
 
 
 def test_config_takes_an_int_for_a_float_and_a_list_for_a_tuple():
-    config = PipelineConfig(tau=1, node_timeout=2, policy_flags=["pii", "audit"], max_parallel=None)
+    config = PipelineConfig(tau=1, node_timeout=2, policy_flags=["pii", "audit"])
     assert (config.tau, config.node_timeout, config.policy_flags) == (1, 2, ("pii", "audit"))
 
 
@@ -665,7 +665,6 @@ ENV_SAMPLES = {
     "cache_capacity": ("7", 7),
     "tau": ("0.5", 0.5),
     "top_k": ("3", 3),
-    "max_parallel": ("2", 2),
     "max_fix_iterations": ("1", 1),
     "node_timeout": ("1.5", 1.5),
     "planner": ("scripted:script.json", "scripted:script.json"),
