@@ -32,7 +32,7 @@ from .stores.relational import (
     exec_structured,
     parse_mini_query,
 )
-from .stores.schema import GlobalSchema
+from .stores.schema import GlobalSchema, read_value
 from .stores.vector import ChunkHit, EmptyIndexError, VectorIndex
 
 DEFAULT_TOP_K = 5
@@ -131,15 +131,7 @@ def _parse_scalar(text: str) -> Any:
     text = text.strip()
     if re.fullmatch(r"'[^']*'", text) or re.fullmatch(r'"[^"]*"', text):
         return text[1:-1]
-    if text.lower() == "true":
-        return True
-    if text.lower() == "false":
-        return False
-    if re.fullmatch(r"-?\d+", text):
-        return int(text)
-    if re.fullmatch(r"-?\d+\.\d+", text):
-        return float(text)
-    return text
+    return read_value(text)
 
 
 def _parse_value_list(tail: str) -> list:

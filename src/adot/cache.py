@@ -30,7 +30,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .plan_ir import Context, Plan, parse_plan, plan_to_json
+from .plan_ir import Context, Plan, parse_plan, plan_to_json, scrub_plan
+from .stores.schema import COLUMN_TYPES
 from .stores.vector import RESCORE_MARGIN, HashedBowEmbedder, cosine
 
 DEFAULT_CAPACITY = 128
@@ -39,10 +40,10 @@ SLOT_TYPES = ("number", "quoted_string", "identifier")
 
 _TERMINAL_PUNCT = ".?!"
 _SLOT_TOKEN_RE = re.compile(r"^\{(\w+):(number|quoted_string|identifier)\}$")
-_SLOT_VALUE_RES = {
-    "number": re.compile(r"^-?\d+(\.\d+)?$"),
-    "quoted_string": re.compile(r"""^('[^']*'|"[^"]*")$"""),
-    "identifier": re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$"),
+_SLOT_VALUE_RES = {  # each matched whole
+    "number": COLUMN_TYPES["float"].text,
+    "quoted_string": re.compile(r"""('[^']*'|"[^"]*")"""),
+    "identifier": re.compile(r"[A-Za-z_][A-Za-z0-9_]*"),
 }
 
 
@@ -110,7 +111,7 @@ def _match_template(template_text: str, query_text: str) -> dict[str, str] | Non
         m = _SLOT_TOKEN_RE.match(t_tok)
         if m:
             name, slot_type = m.group(1), m.group(2)
-            if not _SLOT_VALUE_RES[slot_type].match(q_tok):
+            if not _SLOT_VALUE_RES[slot_type].fullmatch(q_tok):
                 return None
             captured[name] = q_tok
         elif t_tok != q_tok:
@@ -243,6 +244,7 @@ class PlanCache:
         return self._store(self._entry("template", key, skeleton))
 
     def _entry(self, kind: str, key: CacheKey, plan: Plan) -> CacheEntry:
+        plan = scrub_plan(plan)  # a plan is cached, and so handed out, with every node pending
         line = json.dumps({"kind": kind, "key": key.__dict__, "plan": plan_to_json(plan)})
         if kind == "concrete":
             return CacheEntry(kind, key, plan, self.embedder.embed(key.normalized_query), line)

@@ -38,7 +38,7 @@ from .dataops import (
 from .executor import DEFAULT_NODE_TIMEOUT, execute_plan, make_default_adapters
 from .jsonfiles import read_json
 from .lineage import LineageLog, LineageRecord
-from .plan_ir import Context, NodeStatus, Plan
+from .plan_ir import Context, NodeStatus, Plan, scrub_plan
 from .stores.store import Store, load_store
 from .validator import AuditorUnavailable, HeuristicAuditor, audit_plan, validate_plan
 
@@ -141,15 +141,19 @@ def load_config(
     """Build a config with precedence: defaults < file < ADOT_* env < overrides.
 
     A key in the file that is not a config field, or a value its field does
-    not accept, is a ``ValueError`` naming the file; an ``ADOT_*`` value that
-    does not parse is one naming the variable.
+    not accept, is a ``ValueError`` naming the file; an ``ADOT_*`` variable
+    that names no config field, or whose value does not parse, is one
+    naming the variable.
     """
     data: dict[str, Any] = {}
     if path is not None:
         data.update(read_json(path, _config_fields, ValueError))
     env = os.environ if env is None else env
-    for f in dataclasses.fields(PipelineConfig):
-        key = f"ADOT_{f.name.upper()}"
+    variables = {f"ADOT_{f.name.upper()}": f for f in dataclasses.fields(PipelineConfig)}
+    unknown = sorted(key for key in env if key.startswith("ADOT_") and key not in variables)
+    if unknown:
+        raise ValueError(f"unknown ADOT_* variable(s): {', '.join(unknown)}")
+    for key, f in variables.items():
         if key in env:
             try:
                 data[f.name] = field_type(f).parse(env[key])
@@ -175,15 +179,6 @@ def build_replanner(spec: str | None) -> Replanner:
     if spec.startswith("external:"):
         return ExternalReplanner(spec.split(":", 1)[1])
     raise ValueError(f"unknown replanner spec {spec!r}")
-
-
-def scrub_plan(plan: Plan) -> Plan:
-    """Reset execution state so a plan can be cached and re-run fresh."""
-    nodes = tuple(
-        replace(sq, status=NodeStatus.PENDING, partial_result_columns=None)
-        for sq in plan.subquestions
-    )
-    return replace(plan, subquestions=nodes)
 
 
 @dataclass
@@ -215,7 +210,6 @@ class Pipeline:
         config: PipelineConfig | None = None,
         planner: Planner | None = None,
         replanner: Replanner | None = None,
-        cache: PlanCache | None = None,
         auditor: Any = None,
         adapters: Mapping | None = None,
     ):
@@ -223,16 +217,14 @@ class Pipeline:
         self.config = config or PipelineConfig()
         self.planner = planner if planner is not None else build_planner(self.config.planner)
         self.replanner = replanner if replanner is not None else build_replanner(self.config.replanner)
-        self.cache = cache
-        if cache is None and self.config.cache_file and Path(self.config.cache_file).exists():
+        self.cache = PlanCache(capacity=self.config.cache_capacity, tau=self.config.tau)
+        if self.config.cache_file and Path(self.config.cache_file).exists():
             try:
                 self.cache = PlanCache.load(
                     self.config.cache_file, capacity=self.config.cache_capacity, tau=self.config.tau
                 )
             except CacheFileError as exc:
                 logger.warning("starting with an empty plan cache: %s", exc)
-        if self.cache is None:
-            self.cache = PlanCache(capacity=self.config.cache_capacity, tau=self.config.tau)
         self.auditor = auditor if auditor is not None else (HeuristicAuditor() if self.config.audit else None)
         self.adapters = adapters or make_default_adapters(store, k=self.config.top_k)
         self.planner_calls = 0
@@ -342,7 +334,7 @@ class Pipeline:
                     else:
                         plan = action.plan
                 if status == "ok" and cache_strategy is None and cfg.cache_enabled:
-                    self.cache.insert(question, signature, context, scrub_plan(plan))
+                    self.cache.insert(question, signature, context, plan)
                     self.save_cache()
         finally:
             lineage.close()
@@ -370,7 +362,7 @@ class Pipeline:
         if self.planner is None:
             return None, None
         self.planner_calls += 1
-        return self.planner.generate(question), None
+        return scrub_plan(self.planner.generate(question)), None
 
 
 def _resume_after_replan(old_plan: Plan, new_plan: Plan, bindings: Mapping) -> tuple[Plan, dict]:

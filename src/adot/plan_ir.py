@@ -297,6 +297,14 @@ def parse_plan(json_text: str) -> Plan:
     )
 
 
+def scrub_plan(plan: Plan) -> Plan:
+    """The plan with every node pending and no recorded result columns: execution state reset."""
+    nodes = tuple(
+        replace(sq, status=NodeStatus.PENDING, partial_result_columns=None) for sq in plan.subquestions
+    )
+    return replace(plan, subquestions=nodes)
+
+
 def _subquery_to_json(sq: SubQuery) -> dict[str, Any]:
     obj: dict[str, Any] = {}
     if sq.question is not None:

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 from ..jsonfiles import read_json, read_lines
 from .relational import Table, TypeMismatchError
-from .schema import Column, CollectionSchema, CrossLink, GlobalSchema, TableSchema
+from .schema import COLUMN_TYPES, Column, CollectionSchema, CrossLink, GlobalSchema, TableSchema, type_of_text
 from .store import Store, save_store
 from .vector import DEFAULT_ALPHA, DEFAULT_DIM, VectorIndex
 
@@ -97,31 +97,6 @@ def chunk_document(
     return chunks
 
 
-def _infer_csv_type(values: list[str]) -> str:
-    non_empty = [v for v in values if v != ""]
-    if not non_empty:
-        return "text"
-    if all(v.lower() in ("true", "false") for v in non_empty):
-        return "bool"
-    if all(re.fullmatch(r"-?\d+", v) for v in non_empty):
-        return "int"
-    if all(re.fullmatch(r"-?\d+(\.\d+)?", v) for v in non_empty):
-        return "float"
-    return "text"
-
-
-def _coerce_csv(value: str, col_type: str):
-    if value == "":
-        return None
-    if col_type == "int":
-        return int(value)
-    if col_type == "float":
-        return float(value)
-    if col_type == "bool":
-        return value.lower() == "true"
-    return value
-
-
 def _table_from_csv(path: Path) -> Table:
     """A table named after the file; a row whose field count is not the header's names its line."""
     with path.open(newline="", encoding="utf-8") as fh:
@@ -136,12 +111,13 @@ def _table_from_csv(path: Path) -> Table:
             if len(row) != len(header):
                 raise IngestError(f"{path}: line {reader.line_num}: {len(row)} fields, the header has {len(header)}")
             data.append(row)
-    types = [_infer_csv_type([r[i] for r in data]) for i in range(len(header))]
+    types = [type_of_text(r[i] for r in data if r[i] != "") for i in range(len(header))]
     schema = TableSchema(
         name=path.stem,
         columns=tuple(Column(h, t) for h, t in zip(header, types)),
     )
-    typed = [tuple(_coerce_csv(v, t) for v, t in zip(r, types)) for r in data]
+    reads = [COLUMN_TYPES[t].read for t in types]
+    typed = [tuple(None if v == "" else read(v) for v, read in zip(r, reads)) for r in data]
     return Table(schema=schema, rows=typed)
 
 

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import chain
 from typing import Any, Callable, Collection, Mapping, Sequence
 
-from .schema import TableSchema
+from .schema import COLUMN_TYPES, TableSchema, read_value
 
 
 class StoreQueryError(Exception):
@@ -67,22 +67,6 @@ def ref_from_json(obj: Mapping[str, Any]) -> "RowRef | ChunkRef":
     return ChunkRef(document_id=int(obj["document_id"]), chunk_id=int(obj["chunk_id"]))
 
 
-_PYTHON_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "text": (str,),
-    "bool": (bool,),
-}
-
-
-def _conforms(value: Any, col_type: str) -> bool:
-    if value is None:
-        return True
-    if col_type == "int" and isinstance(value, bool):
-        return False
-    return isinstance(value, _PYTHON_TYPES[col_type])
-
-
 @dataclass(frozen=True)
 class Table:
     """A typed table; row ids are stable positions in ``rows``.
@@ -106,11 +90,12 @@ class Table:
             if self.schema.primary_key
             else None
         )
+        holds = [COLUMN_TYPES[c.type].holds for c in self.schema.columns]
         for rid, row in enumerate(self.rows):
-            if len(row) != len(self.schema.columns):
+            if len(row) != len(holds):
                 raise ValueError(f"table {self.schema.name!r} row {rid}: arity mismatch")
-            for value, col in zip(row, self.schema.columns):
-                if not _conforms(value, col.type):
+            for value, ok, col in zip(row, holds, self.schema.columns):
+                if value is not None and not ok(value):
                     raise TypeMismatchError(
                         f"table {self.schema.name!r} row {rid}: {col.name} expects {col.type}, got {value!r}"
                     )
@@ -234,17 +219,8 @@ _FLIPPED = {  # cell OP literal  is  _FLIPPED[OP](literal, cell)
 
 
 def _check_literal(value: Any, col_type: str, column: str) -> None:
-    if value is None:
-        return
-    if col_type in ("int", "float"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeMismatchError(f"filter {column!r}: numeric column compared with {value!r}")
-    elif col_type == "text":
-        if not isinstance(value, str):
-            raise TypeMismatchError(f"filter {column!r}: text column compared with {value!r}")
-    elif col_type == "bool":
-        if not isinstance(value, bool):
-            raise TypeMismatchError(f"filter {column!r}: bool column compared with {value!r}")
+    if value is not None and not COLUMN_TYPES[col_type].compares(value):
+        raise TypeMismatchError(f"filter {column!r}: {col_type} column compared with {value!r}")
 
 
 def _cell_test(f: Filter, col_type: str) -> Callable[[Any], bool]:
@@ -516,14 +492,10 @@ class _Parser:
             return values[0]
         if tok.startswith("'"):
             return tok[1:-1]
-        if tok.lower() == "true":
-            return True
-        if tok.lower() == "false":
-            return False
-        try:
-            return float(tok) if "." in tok else int(tok)
-        except ValueError:
-            raise MiniQuerySyntaxError(f"expected a value, got {tok!r}") from None
+        value = read_value(tok)
+        if isinstance(value, str):
+            raise MiniQuerySyntaxError(f"expected a value, got {tok!r}")
+        return value
 
 
 def parse_mini_query(

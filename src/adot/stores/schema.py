@@ -8,11 +8,61 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-COLUMN_TYPES = ("int", "float", "text", "bool")
+
+class ColumnType(NamedTuple):
+    holds: Callable[[Any], bool]  # a non-null value a cell of this type may hold
+    compares: Callable[[Any], bool]  # a non-null literal a filter may compare such a cell with
+    text: re.Pattern[str]  # the unquoted text of a value (matched whole)
+    read: Callable[[str], Any]  # that text's value
+
+
+def _is_bool(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_text(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+# In reading order: a text is read as the first type whose ``text`` it matches.
+COLUMN_TYPES: dict[str, ColumnType] = {
+    "bool": ColumnType(
+        holds=_is_bool,
+        compares=_is_bool,
+        text=re.compile(r"true|false", re.IGNORECASE | re.ASCII),  # ASCII: "falſe".lower() is not "false"
+        read=lambda text: text.lower() == "true",
+    ),
+    "int": ColumnType(
+        holds=lambda v: isinstance(v, int) and not isinstance(v, bool),
+        compares=_is_number,
+        text=re.compile(r"-?\d+"),
+        read=int,
+    ),
+    "float": ColumnType(holds=_is_number, compares=_is_number, text=re.compile(r"-?\d+(\.\d+)?"), read=float),
+    "text": ColumnType(holds=_is_text, compares=_is_text, text=re.compile(r".*", re.DOTALL), read=str),
+}
+
+
+def type_of_text(texts: Iterable[str]) -> str:
+    """The first column type whose ``text`` matches every one of ``texts``; ``text`` when there are none."""
+    texts = list(texts)
+    if not texts:
+        return "text"
+    return next(name for name, t in COLUMN_TYPES.items() if all(map(t.text.fullmatch, texts)))
+
+
+def read_value(text: str) -> Any:
+    """A bare literal's value: ``text`` read as the first column type whose ``text`` matches it."""
+    return next(t.read(text) for t in COLUMN_TYPES.values() if t.text.fullmatch(text))
 
 
 @dataclass(frozen=True)

@@ -378,3 +378,61 @@ def naive_exec(tables: dict, query) -> "ResultSet":
         rows=tuple(out_rows),
         provenance=tuple(out_prov),
     )
+
+
+# --- frozen literal readers ---------------------------------------------------
+# Copies of the readers that each typed a bare text on its own before one
+# column-type table did it for all of them. Keep them as they are: they are
+# the reference that the table's reading is checked against.
+
+
+def frozen_parse_scalar(text: str):
+    """The structured translator's literal: quoted text, bool, int, float, else the text."""
+    text = text.strip()
+    if re.fullmatch(r"'[^']*'", text) or re.fullmatch(r'"[^"]*"', text):
+        return text[1:-1]
+    if text.lower() == "true":
+        return True
+    if text.lower() == "false":
+        return False
+    if re.fullmatch(r"-?\d+", text):
+        return int(text)
+    if re.fullmatch(r"-?\d+\.\d+", text):
+        return float(text)
+    return text
+
+
+def frozen_mini_value(tok: str):
+    """A mini-language value token (not a reference); ``ValueError`` for one that is no value."""
+    if tok.startswith("'"):
+        return tok[1:-1]
+    if tok.lower() == "true":
+        return True
+    if tok.lower() == "false":
+        return False
+    return float(tok) if "." in tok else int(tok)
+
+
+def frozen_infer_csv_type(values: list[str]) -> str:
+    non_empty = [v for v in values if v != ""]
+    if not non_empty:
+        return "text"
+    if all(v.lower() in ("true", "false") for v in non_empty):
+        return "bool"
+    if all(re.fullmatch(r"-?\d+", v) for v in non_empty):
+        return "int"
+    if all(re.fullmatch(r"-?\d+(\.\d+)?", v) for v in non_empty):
+        return "float"
+    return "text"
+
+
+def frozen_coerce_csv(value: str, col_type: str):
+    if value == "":
+        return None
+    if col_type == "int":
+        return int(value)
+    if col_type == "float":
+        return float(value)
+    if col_type == "bool":
+        return value.lower() == "true"
+    return value

@@ -352,6 +352,29 @@ def test_deterministic_given_history():
     assert a.stats == b.stats
 
 
+def test_cached_and_loaded_plans_start_with_every_node_pending(tmp_path):
+    """A plan is cached with its execution state reset, however it arrives."""
+    executed = parse_doc({
+        "subquestions": [
+            {"question": "What is the venue of club {club}?", "tool": "sql", "label": "$var_1",
+             "should_expose_answer": True, "answer_description": "d",
+             "status": "executed", "partial_result_columns": ["venue"]},
+        ]
+    })
+    fresh = simple_plan("What is the venue of club {club}?")
+    cache = PlanCache(capacity=4)
+    cache.insert("what is the venue of club x", SIG_A, CTX, executed)
+    cache.insert_template("venue of club {club:identifier}", SIG_A, CTX, executed)
+    assert [e.plan for e in cache.entries()] == [fresh, fresh]
+    assert cache.lookup("what is the venue of club x", SIG_A, CTX).plan == fresh
+    assert cache.lookup("venue of club y", SIG_A, CTX).plan == simple_plan("What is the venue of club y?")
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"stats": {}, "entries": [
+        {"kind": "concrete", "key": {"normalized_query": "q", "schema_signature": SIG_A,
+                                     "context_fingerprint": CTX.fingerprint()}, "plan": plan_to_json(executed)}]}))
+    assert PlanCache.load(path).lookup("q", SIG_A, CTX).plan == fresh
+
+
 # --- persistence ---------------------------------------------------------------------
 
 

@@ -106,6 +106,22 @@ def test_run_invalid_plan_exit_code(store_dir, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("executed", [1, 3])
+def test_run_and_ask_start_a_plan_with_every_node_pending(executed, store_dir, tmp_path, capsys):
+    """A plan from outside that marks a node executed still runs every node and answers."""
+    question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
+    doc = json.loads((FIXTURES / "olympics" / "plan.json").read_text())
+    doc["subquestions"][executed - 1]["status"] = "executed"
+    plan, script = tmp_path / "plan.json", tmp_path / "script.json"
+    plan.write_text(json.dumps(doc))
+    script.write_text(json.dumps({question: doc}))
+    assert main(["run", "--plan", str(plan), "--store", str(store_dir)]) == 0
+    assert "Birth year of the athlete: 1920" in capsys.readouterr().out
+    assert main(["ask", "--question", question, "--store", str(store_dir), "--planner", f"scripted:{script}",
+                 "--no-cache"]) == 0
+    assert "Birth year of the athlete: 1920" in capsys.readouterr().out
+
+
 def test_ask_with_cache_file_round_trip(store_dir, tmp_path, capsys):
     cache_file = tmp_path / "cache.json"
     question = "What year was the athlete born in the event that had 70 competitors from 39 countries, with 64 finishers?"
@@ -229,6 +245,11 @@ def _bad_env_value(tmp_path, store_dir, monkeypatch):
     return ["cache", "stats", "--cache-file", str(tmp_path / "cache.json")], "ADOT_TOP_K"
 
 
+def _unknown_env_variable(tmp_path, store_dir, monkeypatch):
+    monkeypatch.setenv("ADOT_MAX_PARALLEL", "abc")
+    return ["ask", "--question", "q?", "--store", str(store_dir)], "ADOT_MAX_PARALLEL"
+
+
 def _plan_not_json(tmp_path, store_dir, monkeypatch):
     plan = tmp_path / "plan.json"
     plan.write_text("{not json", encoding="utf-8")
@@ -341,7 +362,7 @@ def _ingest_file(case, name, content, named):
     return bad_input
 
 
-@pytest.mark.parametrize("bad_input", [_bad_env_value, _plan_not_json, _run_plan_not_json, _missing_lineage,
+@pytest.mark.parametrize("bad_input", [_bad_env_value, _unknown_env_variable, _plan_not_json, _run_plan_not_json, _missing_lineage,
                                        _torn_lineage, _lineage_line_not_a_record, _label_not_in_lineage,
                                        _torn_store_chunks, _store_table_file_missing, _unknown_config_key, _removed_config_key("dataops", False),
                                        _removed_config_key("max_parallel", 2),
@@ -356,6 +377,9 @@ def _ingest_file(case, name, content, named):
                                        _ingest_file("table_row_of_wrong_type", "tables.json", json.dumps({"tables": [
                                            {"name": "t", "columns": [{"name": "a", "type": "int"}], "rows": [["x"]]}]}),
                                            "table 't' row 0"),
+                                       _ingest_file("table_true_in_float_column", "tables.json", json.dumps({"tables": [
+                                           {"name": "t", "columns": [{"name": "pts", "type": "float"}], "rows": [[1.5], [True]]}]}),
+                                           "table 't' row 1: pts expects float, got True"),
                                        _ingest_file("document_without_text", "docs.jsonl", '{"document_id": 1}\n', "line 1: missing key 'text'"),
                                        _ingest_file("torn_document", "docs.jsonl", '{"document_id": 1, "text": "a."}\n{"document_', "line 2: ")],
                          ids=lambda f: f.__name__.lstrip("_"))

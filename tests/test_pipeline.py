@@ -690,3 +690,10 @@ def test_env_bad_value_names_the_variable():
         with pytest.raises(ValueError, match=key):
             load_config(env={key: raw})
     assert load_config(env={"ADOT_AUDIT": "ON"}).audit is True
+
+
+def test_env_variable_that_names_no_config_field_is_an_error():
+    for env in ({"ADOT_MAX_PARALLEL": "2"}, {"ADOT_TOPK": "3", "ADOT_TOP_K": "3"}):
+        with pytest.raises(ValueError, match=f"unknown ADOT_\\* variable\\(s\\): {next(iter(env))}$"):
+            load_config(env=env)
+    assert load_config(env={"ADOTX": "1", "PATH": "/bin"}).top_k == PipelineConfig().top_k

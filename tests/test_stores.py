@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import json
+import re
 import sys
 import threading
 import time
@@ -11,7 +13,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from adot.stores.ingest import IngestError, chunk_document, ingest
+from adot.adapters import PatternTranslator, ResolvedSubQuery
+from adot.plan_ir import Tool
+from adot.stores.ingest import IngestError, chunk_document, ingest, load_tables
 from adot.stores.relational import (
     Aggregate,
     Filter,
@@ -31,6 +35,7 @@ from adot.stores.schema import (
     CrossLink,
     GlobalSchema,
     TableSchema,
+    read_value,
     signature_of,
 )
 from adot.stores import vector as vector_module
@@ -43,7 +48,18 @@ from adot.stores.vector import (
     cosine,
     sparse_vector,
 )
-from oracles import ScalarSearch, bow_cosine, bow_embed, naive_aggregate, naive_exec, rank_chunks
+from oracles import (
+    ScalarSearch,
+    bow_cosine,
+    bow_embed,
+    frozen_coerce_csv,
+    frozen_infer_csv_type,
+    frozen_mini_value,
+    frozen_parse_scalar,
+    naive_aggregate,
+    naive_exec,
+    rank_chunks,
+)
 
 # --- schema signature -------------------------------------------------------
 
@@ -306,7 +322,7 @@ def _edge_tables() -> dict[str, Table]:
     scores = [
         (0, 1, 1.0),
         (1, 2, NAN),
-        (2, None, True),
+        (2, None, 1),
         (3, 1, 1),
         (4, 3, NAN),
         (5, 2, float("nan")),  # a NaN that is not the NAN object
@@ -328,7 +344,7 @@ _INDEX_EDGE_CASES = {
     "nan_in_list_matches_the_same_nan_object": ((Filter("pts", "in", [NAN]),), None, [(1,), (4,)], set()),
     "other_nan_in_list_matches_no_nan_cell": (
         (Filter("pts", "in", [float("nan"), 2.5]),), None, [(7,)], set()),
-    "int_literal_matches_float_and_true_cells": (
+    "int_literal_matches_float_and_int_cells": (
         (Filter("pts", "=", 1),), None, [(0,), (2,), (3,)], {("scores", "pts")}),
     "equals_null_matches_nothing": ((Filter("team", "=", None),), None, [], set()),
     "in_list_with_duplicates": (
@@ -367,7 +383,7 @@ def _nan_cell(rng: Random, ctype: str):
     if rng.random() < 0.15:
         return None
     if ctype == "float":
-        return rng.choice([rng.randint(-2, 2), rng.randint(-4, 4) / 2, NAN, True])
+        return rng.choice([rng.randint(-2, 2), rng.randint(-4, 4) / 2, NAN, 1])
     return _nan_literal(rng, ctype)
 
 
@@ -392,7 +408,7 @@ def _equality_filter(rng: Random, column: str, ctype: str) -> Filter:
 def test_exec_structured_matches_naive_oracle_when_equality_filters_come_first():
     """Most sides start with `=`/`in`, so the index probe and the index join run.
 
-    Cells include nulls, `True` in float columns and NaN (both the shared
+    Cells include nulls, int `1` in float columns and NaN (both the shared
     NAN object and others); literals include null, NAN and other NaNs.
     """
     rng = Random(16)
@@ -493,6 +509,92 @@ def test_mini_language_parser_round_trip():
     for text in ("select pts from t where id = $var_1.name", "select pts from t where id in [$var_2.id]"):
         with pytest.raises(MiniQuerySyntaxError):
             parse_mini_query(text, bindings)
+
+
+def test_a_float_column_holds_numbers_but_not_bools(tmp_path):
+    schema = TableSchema("t", (Column("id", "int"), Column("pts", "float")))
+    assert Table(schema, rows=[(0, 1), (1, 2.5), (2, None)]).rows == ((0, 1), (1, 2.5), (2, None))
+    with pytest.raises(TypeMismatchError, match=r"^table 't' row 1: pts expects float, got True$"):
+        Table(schema, rows=[(0, 1.0), (1, True)])
+    save_store(Store(GlobalSchema(tables=(schema,)), {"t": Table(schema, rows=[(0, 1.5)])}), tmp_path)
+    path = tmp_path / "tables" / "t.jsonl"
+    path.write_text("[0, true]\n", encoding="utf-8")
+    with pytest.raises(StoreFileError) as info:
+        load_store(tmp_path)
+    assert str(info.value) == f"{path}: table 't' row 0: pts expects float, got True"
+
+
+_LITERAL_PIECES = ["0", "7", "12", "-", ".", "5", "١", "٣", "e", "+", "_", " ", "x", "TRUE", "true",
+                   "False", "fal", "ſe", "'", '"', "nan", "inf", "K", ","]
+_LITERAL_TEXTS = ["-0", "1.", "TRUE", "'x'", '"x"', "١٢", "-٣.٥", "", " 1 ", "falſe", "True",
+                  "fAlSe", "1.50", "-1.5", "+1", "1e5", "1_0", "inf", "nan", ".5", "--1", "0x1", "'a'b'", "\"x'"]
+_ONE_MINI_TOKEN = re.compile(r"-?\d+(?:\.\d+)?|'[^']*'|[A-Za-z_][A-Za-z0-9_.$]*|<=|>=|!=|=|<|>|[(),\[\]*]")
+
+
+def _literal_texts(rng: Random) -> list[str]:
+    generated = ["".join(rng.choice(_LITERAL_PIECES) for _ in range(rng.randint(1, 4))) for _ in range(3000)]
+    return _LITERAL_TEXTS + generated
+
+
+def _typed(value):
+    return type(value), value
+
+
+def test_bare_literals_read_as_the_frozen_readers_did():
+    """read_value, the mini-language and the structured translator each read a literal as before."""
+    rng = Random(24)
+    texts = _literal_texts(rng)
+    read = [t for t in texts if t == t.strip() and not re.fullmatch(r"'[^']*'|\"[^\"]*\"", t)]
+    for text in read:
+        assert _typed(read_value(text)) == _typed(frozen_parse_scalar(text)), text
+
+    mini = [t for t in texts if _ONE_MINI_TOKEN.fullmatch(t)]
+    for text in mini:
+        try:
+            expected = _typed(frozen_mini_value(text))
+        except ValueError:
+            expected = None
+        for where, unwrap in ((f"a = {text}", lambda v: v), (f"a in [{text}]", lambda v: v[0])):
+            try:
+                got = _typed(unwrap(parse_mini_query(f"select a from t where {where}").filters[0].value))
+            except MiniQuerySyntaxError:
+                got = None
+            assert got == expected, (text, where)
+
+    schema = GlobalSchema(tables=(TableSchema("t", (Column("id", "int"), Column("pts", "float"))),))
+    plain = [t for t in texts if t.strip() and not set(t) & set("?,\n`$")]
+
+    def translate(question):
+        rq = ResolvedSubQuery(node_index=1, question_resolved=question, tool=Tool.STRUCTURED, bindings_in={})
+        return PatternTranslator().translate(rq, schema).filters[0].value
+
+    for a, b in zip(plain, plain[1:] + plain[:1]):
+        assert _typed(translate(f"average of pts where id = {a}")) == _typed(frozen_parse_scalar(a)), a
+        values = translate(f"what is the pts of t with id in {a}, {b}")
+        assert list(map(_typed, values)) == [_typed(frozen_parse_scalar(a)), _typed(frozen_parse_scalar(b))], (a, b)
+    assert len(read) > 1000 and len(mini) > 300 and len(plain) > 1000
+    assert {type(read_value(t)) for t in read} == {bool, int, float, str}
+
+
+def test_csv_fields_read_as_the_frozen_readers_did(tmp_path):
+    """Each CSV column is typed and read as before; an empty field is null."""
+    rng = Random(25)
+    texts = [t for t in _literal_texts(rng) if t and "\r" not in t]
+    samples = [["-0", "12", "٣", "7"], ["1.5", "-0.25", "3", "١.٢"], ["TRUE", "false", "True"], texts]
+    pools = [[""] + rng.choice(samples) for _ in range(300)]
+    columns = [[rng.choice(pool) for _ in range(6)] for pool in pools]
+    columns.append([""] * 6)
+    path = tmp_path / "t.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{i}" for i in range(len(columns))])
+        writer.writerows(zip(*columns))
+    [table] = load_tables(path)
+    types = [frozen_infer_csv_type(col) for col in columns]
+    assert [c.type for c in table.schema.columns] == types
+    assert set(types) == {"bool", "int", "float", "text"}
+    expected = [tuple(_typed(frozen_coerce_csv(v, t)) for v, t in zip(row, types)) for row in zip(*columns)]
+    assert [tuple(map(_typed, row)) for row in table.rows] == expected
 
 
 # --- vector index -------------------------------------------------------------
