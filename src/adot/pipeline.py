@@ -39,6 +39,7 @@ from .executor import DEFAULT_NODE_TIMEOUT, execute_plan, make_default_adapters
 from .jsonfiles import read_json
 from .lineage import LineageLog, LineageRecord
 from .plan_ir import Context, NodeStatus, Plan, scrub_plan
+from .stores.schema import COLUMN_TYPES
 from .stores.store import Store, load_store
 from .validator import AuditorUnavailable, HeuristicAuditor, audit_plan, validate_plan
 
@@ -108,10 +109,10 @@ class FieldType(NamedTuple):
 
 
 _FIELD_TYPES: dict[str, FieldType] = {
-    "bool": FieldType(parse_bool, lambda v: isinstance(v, bool)),
-    "int": FieldType(int, lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "float": FieldType(float, lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "str": FieldType(str, lambda v: isinstance(v, str)),
+    "bool": FieldType(parse_bool, COLUMN_TYPES["bool"].holds),
+    "int": FieldType(int, COLUMN_TYPES["int"].holds),
+    "float": FieldType(float, COLUMN_TYPES["float"].holds),
+    "str": FieldType(str, COLUMN_TYPES["text"].holds),
     "tuple[str, ...]": FieldType(
         _parse_list, lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)
     ),

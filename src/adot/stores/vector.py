@@ -9,30 +9,36 @@ count maps over the same tokens; the sparse score is their dot product.
 Fused score: ``alpha * dense + (1 - alpha) * sparse``, where dense is the
 cosine of the two dense vectors.
 
-Scoring is exact, not approximate nearest neighbour. ``VectorIndex`` stores
-each dense vector once, as a row of a fixed-size block, and
-``Chunk.dense_vec`` is a read-only view of that row. A chunk's sparse
-weights are one slice of an entry list of (token id, row, weight), and
-``Chunk.sparse_vec`` is a read-only view of that slice. The postings of a
-token (its rows and weights) are gathered from the entry list when a query
-first holds the token, and later searches add only the entries written
-since, so ingest does no per-token index work. A document_id -> row ids
-map turns ``doc_filter`` into a gather.
+Scoring is exact, not approximate nearest neighbour. ``VectorIndex`` keeps
+both vectors of a chunk as entries of its row, in flat arrays with rows in
+order: a dense entry is (bucket, token count) for each nonzero bucket, a
+sparse entry (token id, weight) for each token. ``Chunk.dense_vec`` is a
+read-only vector rebuilt from the row's dense entries, bit for bit the
+embedder's, and ``Chunk.sparse_vec`` a read-only view of its sparse
+entries. ``add_text`` only extends the arrays; searches build the postings
+(ascending rows and their values). A search first appends the dense entries
+written since the last grouping to their buckets' postings, and the postings
+of a token take the sparse entries written since the token was last
+searched. A document_id -> row ids map turns ``doc_filter`` into a gather.
 
-A search scores every candidate with one mat-vec over the query's nonzero
-buckets plus the postings of the query's tokens. That matrix score differs
-from the scalar one by a few ulps, so the rows whose matrix score is within
+An unfiltered search takes both matrix scores as scatter-adds over postings:
+those of the query's nonzero buckets and those of its tokens. A filtered
+search reads the entries of its own rows. The matrix score differs from the
+scalar one by a few ulps, so the rows whose matrix score is within
 ``RESCORE_MARGIN`` of the k-th best are rescored exactly with the scalar
 ``cosine`` and ``sparse_dot`` and sorted by ``(-fused, chunk_id)``. Every
 hit and all three of its scores are therefore those of the scalar formula
 applied to every candidate, and ties go to the lower chunk_id.
 
-``add_text`` is the only way into the index: it computes both vectors with
-the index's own embedder, so every dense and sparse weight is a normalized
-count and never negative. A row whose matrix score is exactly 0 therefore
-also scores exactly 0 under the scalar formula; such rows all tie, so of
-them only the k with the lowest chunk_id are rescored. ``doc_filter``
-restricts the candidates before ranking, so an empty filter returns ``[]``.
+The design rests on one assumption: ``add_text`` is the only way into the
+index, and it computes both vectors with the index's own hashed embedder.
+So a dense vector is sparse (a chunk of a few hundred characters fills
+about 50 of 256 buckets), which keeps its entries and postings small, and
+no dense or sparse weight is negative, being a count over a norm. Hence the
+zero-tie rule: a row whose matrix score is exactly 0 also scores exactly 0
+under the scalar formula; such rows all tie, so of them only the k with the
+lowest chunk_id are rescored. ``doc_filter`` restricts the candidates
+before ranking, so an empty filter returns ``[]``.
 """
 
 from __future__ import annotations
@@ -41,9 +47,9 @@ import bisect
 import hashlib
 import heapq
 import re
+import threading
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -57,10 +63,9 @@ DEFAULT_ALPHA = 0.5
 # the scalar formula; the two differ by a few ulps, far below the margin.
 RESCORE_MARGIN = 1e-9
 
-# Rows per dense block (256 KB at dim 256); a block is allocated when the
-# last one is full. Larger blocks make a small index touch fresh pages that
-# its rows do not fill.
-_BLOCK_ROWS = 128
+# Dense entries grouped into postings per step, so the transient copies of
+# the first grouping of a large index stay under a megabyte.
+_GROUP_ENTRIES = 1 << 14
 
 # Token -> bucket entries an embedder keeps before it starts over, so query
 # vocabulary cannot grow the memo without bound.
@@ -101,9 +106,12 @@ class HashedBowEmbedder:
             b = self._buckets[token] = int.from_bytes(digest[:4], "big") % self.dim
         return b
 
+    def counts(self, text: str) -> np.ndarray:
+        """How many of the text's tokens fall in each bucket."""
+        return np.bincount(np.array([self.bucket(t) for t in tokenize(text)], dtype=np.intp), minlength=self.dim)
+
     def embed(self, text: str) -> np.ndarray:
-        buckets = np.array([self.bucket(t) for t in tokenize(text)], dtype=np.intp)
-        vec = np.bincount(buckets, minlength=self.dim).astype(np.float64)
+        vec = self.counts(text).astype(np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -147,41 +155,109 @@ class _Vocabulary(dict):
         return len(self.tokens) - 1
 
 
+def _np(entries: array) -> np.ndarray:
+    """A numpy view of ``entries``; pass a fresh slice, so the index's own arrays never export a buffer."""
+    return np.frombuffer(entries, dtype=entries.typecode)
+
+
+class _Entries:
+    """(key, value) entries of every row, rows in order; row r owns entries [offsets[r], offsets[r + 1]).
+
+    Rows are only appended, and a row's entries are written before its
+    offset, so a reader that stays below ``offsets[n]`` sees whole rows.
+    """
+
+    __slots__ = ("keys", "values", "offsets")
+
+    def __init__(self, key_type: str, value_type: str):
+        self.keys = array(key_type)
+        self.values = array(value_type)
+        self.offsets = array("i", [0])
+
+    def append(self, keys: bytes, values: bytes) -> None:
+        self.keys.frombytes(keys)
+        self.values.frombytes(values)
+        self.offsets.append(len(self.values))
+
+    def row(self, r: int) -> tuple[array, array]:
+        """Copies of row r's keys and values."""
+        start, stop = self.offsets[r], self.offsets[r + 1]
+        return self.keys[start:stop], self.values[start:stop]
+
+    def gather(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keys and values of the entries of ``rows``, and the index in ``rows`` of each entry's row."""
+        keys, values, sizes = array(self.keys.typecode), array(self.values.typecode), []
+        for r in rows:
+            start, stop = self.offsets[r], self.offsets[r + 1]
+            sizes.append(stop - start)
+            keys += self.keys[start:stop]
+            values += self.values[start:stop]
+        return _np(keys), _np(values), np.repeat(np.arange(len(rows)), sizes)
+
+    def rows_of(self, positions: np.ndarray) -> np.ndarray:
+        """The row owning each of ``positions`` (ascending entry indices of whole rows)."""
+        first = bisect.bisect_right(self.offsets, positions[0]) - 1
+        offsets = _np(self.offsets[first:bisect.bisect_right(self.offsets, positions[-1])])
+        return (np.searchsorted(offsets, positions, side="right") - 1 + first).astype(np.intc)
+
+
 class SparseVector(Mapping[str, float]):
     """Read-only token -> weight map of one indexed chunk, in the order it was built.
 
-    Its entries are a slice of the index's entry arrays (token ids and
-    weights), so it costs a few pointers. ``items`` and ``values`` return
-    iterators.
+    Its entries are its row's (token id, weight) entries in the index, so it
+    costs a few pointers. ``items`` and ``values`` return iterators.
     """
 
-    __slots__ = ("_vocab", "_token_ids", "_weights", "_start", "_stop")
+    __slots__ = ("_vocab", "_entries", "_row")
 
-    def __init__(self, vocab: _Vocabulary, token_ids: array, weights: array, start: int, stop: int):
+    def __init__(self, vocab: _Vocabulary, entries: _Entries, row: int):
         self._vocab = vocab
-        self._token_ids = token_ids
-        self._weights = weights
-        self._start = start
-        self._stop = stop
+        self._entries = entries
+        self._row = row
 
     def __len__(self) -> int:
-        return self._stop - self._start
+        return self._entries.offsets[self._row + 1] - self._entries.offsets[self._row]
 
     def __iter__(self) -> Iterator[str]:
-        return map(self._vocab.tokens.__getitem__, self._token_ids[self._start:self._stop])
+        return map(self._vocab.tokens.__getitem__, self._entries.row(self._row)[0])
 
     def __getitem__(self, token: str) -> float:
         token_id = self._vocab.get(token)
-        token_ids = self._token_ids[self._start:self._stop]
+        token_ids, weights = self._entries.row(self._row)
         if token_id is None or token_id not in token_ids:
             raise KeyError(token)
-        return self._weights[self._start + token_ids.index(token_id)]
+        return weights[token_ids.index(token_id)]
 
     def items(self) -> Iterator[tuple[str, float]]:  # type: ignore[override]
-        return zip(self, self._weights[self._start:self._stop])
+        token_ids, weights = self._entries.row(self._row)
+        return zip(map(self._vocab.tokens.__getitem__, token_ids), weights)
 
     def values(self) -> Iterator[float]:  # type: ignore[override]
-        return iter(self._weights[self._start:self._stop])
+        return iter(self._entries.row(self._row)[1])
+
+
+class DenseEntries:
+    """One indexed chunk's dense vector, kept as its row's (bucket, token count) entries in the index."""
+
+    __slots__ = ("_dim", "_entries", "_norms", "_row")
+
+    def __init__(self, dim: int, entries: _Entries, norms: array, row: int):
+        self._dim = dim
+        self._entries = entries
+        self._norms = norms
+        self._row = row
+
+    def vector(self) -> np.ndarray:
+        """A new read-only vector, made as ``HashedBowEmbedder.embed`` makes it: the counts divided by their norm."""
+        norm = self._norms[self._row]
+        if norm > 0:
+            buckets, counts = self._entries.row(self._row)
+            vec = np.bincount(_np(buckets), _np(counts), self._dim)
+            vec /= norm
+        else:  # no tokens, so no entries
+            vec = np.zeros(self._dim)
+        vec.flags.writeable = False
+        return vec
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +265,7 @@ class Chunk:
     chunk_id: int
     document_id: int
     text: str
-    dense_vec: np.ndarray = field(compare=False, repr=False)
+    dense_entries: DenseEntries = field(compare=False, repr=False)
     sparse_vec: Mapping[str, float] = field(compare=False, repr=False)
     metadata: Mapping[str, object] = field(default_factory=dict)
 
@@ -198,6 +274,11 @@ class Chunk:
             md = dict(self.metadata)
             md["document_id"] = self.document_id
             object.__setattr__(self, "metadata", md)
+
+    @property
+    def dense_vec(self) -> np.ndarray:
+        """The hashed bag-of-words vector, rebuilt from the chunk's dense entries on each read."""
+        return self.dense_entries.vector()
 
     @property
     def ref(self) -> ChunkRef:
@@ -230,7 +311,7 @@ _NO_POSTING = (np.empty(0, dtype=np.intc), np.empty(0), 0)
 
 
 class VectorIndex:
-    """Exact-scoring hybrid index: block mat-vec plus postings, exact rescoring at the boundary.
+    """Exact-scoring hybrid index: scatter-adds over postings, exact rescoring at the boundary.
 
     Row ``r`` is ``chunks[r]``, in insertion order. A chunk is written to
     every structure before it is appended to ``chunks``, and a search reads
@@ -246,14 +327,14 @@ class VectorIndex:
         self.alpha = alpha
         self.embedder = HashedBowEmbedder(dim)
         self.chunks: list[Chunk] = []
-        self._blocks: list[np.ndarray] = []  # (_BLOCK_ROWS, dim) each
-        self._inv_norms = array("d")  # row -> 1 / ||dense_vec||, 0 for the zero vector
-        # One entry per (row, token), rows in order; readers copy slices, so
-        # an append never meets a buffer export.
+        self._dense = _Entries(np.min_scalar_type(dim - 1).char, "I")  # (bucket, token count) per nonzero bucket
+        self._norms = array("d")  # row -> norm of its bucket counts
         self._vocab = _Vocabulary()
-        self._entry_tokens = array("i")
-        self._entry_rows = array("i")
-        self._entry_weights = array("d")
+        self._sparse = _Entries("i", "d")  # (token id, weight) per token
+        # bucket -> (rows, counts) of the first ``_grouped`` dense entries
+        self._dense_postings = [(array("i"), array("I")) for _ in range(dim)]
+        self._grouped = 0
+        self._group_lock = threading.Lock()
         # token id -> (rows, weights, entries scanned), built on the token's first search
         self._postings: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self._doc_rows: dict[int, list[int]] = {}
@@ -263,28 +344,22 @@ class VectorIndex:
 
     def add_text(self, chunk_id: int, document_id: int, text: str, metadata: Mapping[str, object] | None = None) -> Chunk:
         """Embed ``text`` and index it as row ``len(chunks)``; everything that can fail runs before the first write."""
-        dense = self.embedder.embed(text)
+        counts = self.embedder.counts(text)
         sparse = sparse_vector(text)
         metadata = dict(metadata or {})
         row_id = len(self.chunks)
-        block, offset = divmod(row_id, _BLOCK_ROWS)
-        if block == len(self._blocks):
-            self._blocks.append(np.empty((_BLOCK_ROWS, self.dim)))
-        row = self._blocks[block][offset]  # no search reads the row before the chunk is published
-        row[:] = dense
-        row.flags.writeable = False
-        token_ids = array("i", list(map(self._vocab.__getitem__, sparse)))
-        weights = array("d", list(sparse.values()))
-        norm = np.linalg.norm(row)
+        buckets = np.flatnonzero(counts)
+        dense_bytes = (buckets.astype(self._dense.keys.typecode).tobytes(), counts[buckets].astype(np.uintc).tobytes())
+        norm = np.linalg.norm(counts.astype(np.float64))  # as embed computes it
+        sparse_bytes = (array("i", list(map(self._vocab.__getitem__, sparse))).tobytes(),
+                        array("d", list(sparse.values())).tobytes())
         doc_rows = self._doc_rows.setdefault(document_id, [])
-        start = len(self._entry_weights)
-        sparse = SparseVector(self._vocab, self._entry_tokens, self._entry_weights, start, start + len(weights))
-        chunk = Chunk(chunk_id=chunk_id, document_id=document_id, text=text, dense_vec=row,
-                      sparse_vec=sparse, metadata=metadata)
-        self._inv_norms.append(1.0 / norm if norm > 0 else 0.0)
-        self._entry_tokens.extend(token_ids)
-        self._entry_rows.extend(repeat(row_id, len(weights)))
-        self._entry_weights.extend(weights)  # last: a reader scans only entries that have a weight
+        chunk = Chunk(chunk_id=chunk_id, document_id=document_id, text=text, metadata=metadata,
+                      dense_entries=DenseEntries(self.dim, self._dense, self._norms, row_id),
+                      sparse_vec=SparseVector(self._vocab, self._sparse, row_id))
+        self._dense.append(*dense_bytes)
+        self._norms.append(norm)
+        self._sparse.append(*sparse_bytes)
         doc_rows.append(row_id)
         self.chunks.append(chunk)
         return chunk
@@ -332,21 +407,21 @@ class VectorIndex:
         the k-th best. No weight is negative, so the rows scoring exactly 0 all
         tie at 0, and only the k of them with the lowest chunk_id are kept.
         """
-        full = len(rows) == n  # then rows is range(n)
-        dots = self._dots(q_dense, rows, full)
-        rows = np.arange(n) if full else np.array(rows)
-        sparse = np.zeros(n)
+        q_tokens = {}  # token id -> query weight, for the query tokens that some row holds
         for token, weight in q_sparse.items():
             token_id = self._vocab.get(token)
             if token_id is not None:
-                post_rows, post_weights = self._posting(token_id)
-                count = bisect.bisect_left(post_rows, n)  # rows added since the search began are left out
-                sparse[post_rows[:count]] += weight * post_weights[:count]
-        inv_norms = np.frombuffer(self._inv_norms[:n])
-        if not full:
-            sparse, inv_norms = sparse[rows], inv_norms[rows]
-        q_norm = np.linalg.norm(q_dense)
-        dense = dots * inv_norms * (1.0 / q_norm if q_norm > 0 else 0.0)
+                q_tokens[token_id] = weight
+        if len(rows) == n:  # then rows is range(n)
+            dots, sparse = self._posting_scores(q_dense, q_tokens, n)
+            norms = np.frombuffer(self._norms[:n])
+            rows = np.arange(n)
+        else:
+            dots, sparse = self._row_scores(q_dense, q_tokens, rows)
+            norms = np.array([self._norms[r] for r in rows])
+            rows = np.array(rows)
+        # dots > 0 only where the row shares a bucket with the query, so both norms are > 0
+        dense = np.divide(dots, norms * np.linalg.norm(q_dense), out=np.zeros(len(dots)), where=dots > 0)
         fused = self.alpha * dense + (1.0 - self.alpha) * sparse
         threshold = _kth_largest(fused, k) - RESCORE_MARGIN
         if threshold > 0:
@@ -360,29 +435,69 @@ class VectorIndex:
         lowest = heapq.nsmallest(k, zeros, key=lambda r: (self.chunks[r].chunk_id, r))
         return sorted([r for r, s in zip(rows, nonzero) if s] + lowest)
 
-    def _dots(self, q: np.ndarray, rows: Sequence[int], full: bool) -> np.ndarray:
-        """``q`` dotted with the dense vector of each of ``rows``."""
-        cols = np.flatnonzero(q)  # the other columns add exactly 0
-        if full:
-            n = len(rows)
-            parts = [block[: n - start, cols] for start, block in zip(range(0, n, _BLOCK_ROWS), self._blocks)]
-        else:
-            offsets: dict[int, list[int]] = {}  # block -> offsets of its rows, both ascending
-            for r in rows:
-                offsets.setdefault(r // _BLOCK_ROWS, []).append(r % _BLOCK_ROWS)
-            parts = [self._blocks[b][o][:, cols] for b, o in offsets.items()]
-        return (np.concatenate(parts) * q[cols]).sum(axis=1)
+    def _posting_scores(self, q: np.ndarray, q_tokens: Mapping[int, float], n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Of each of the first ``n`` rows: ``q`` dotted with its bucket counts, and its sparse dot, from postings.
+
+        Only the postings of q's nonzero buckets and of the query's tokens are read.
+        """
+        if self._grouped < self._dense.offsets[n]:
+            self._group(n)
+        buckets = np.flatnonzero(q)
+        rows, counts, sizes = array("i"), array("I"), []
+        for bucket in buckets.tolist():
+            post_rows, post_counts = self._dense_postings[bucket]
+            # Every entry of a row below n is grouped by now, and a posting's
+            # rows ascend, so its first ``count`` entries are this search's.
+            count = bisect.bisect_left(post_rows, n)
+            rows += post_rows[:count]
+            counts += post_counts[:count]
+            sizes.append(count)
+        dots = np.bincount(_np(rows), np.repeat(q[buckets], sizes) * _np(counts), n)
+        sparse = np.zeros(n)
+        for token_id, weight in q_tokens.items():
+            post_rows, post_weights = self._posting(token_id)
+            count = bisect.bisect_left(post_rows, n)  # rows added since the search began are left out
+            sparse[post_rows[:count]] += weight * post_weights[:count]
+        return dots, sparse
+
+    def _row_scores(self, q: np.ndarray, q_tokens: Mapping[int, float], rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Of each of ``rows``: ``q`` dotted with its bucket counts, and its sparse dot, from the rows' own entries."""
+        buckets, counts, owners = self._dense.gather(rows)
+        dots = np.bincount(owners, q[buckets] * counts, len(rows))
+        token_ids, weights, owners = self._sparse.gather(rows)
+        query = np.zeros(len(token_ids))
+        for token_id, weight in q_tokens.items():
+            query[token_ids == token_id] = weight
+        return dots, np.bincount(owners, query * weights, len(rows))
+
+    def _group(self, n: int) -> None:
+        """Append the dense entries of the rows below ``n`` that are not yet grouped to their buckets' postings."""
+        with self._group_lock:  # a concurrent search may have grouped them meanwhile
+            end = self._dense.offsets[n]
+            for lo in range(self._grouped, end, _GROUP_ENTRIES):
+                hi = min(lo + _GROUP_ENTRIES, end)
+                buckets = _np(self._dense.keys[lo:hi])
+                order = np.argsort(buckets, kind="stable")  # keeps each bucket's rows ascending
+                buckets = buckets[order]
+                rows = self._dense.rows_of(np.arange(lo, hi))[order]
+                counts = _np(self._dense.values[lo:hi])[order]
+                starts = np.flatnonzero(np.diff(buckets, prepend=-1))
+                bounds = starts.tolist() + [hi - lo]
+                for bucket, start, stop in zip(buckets[starts].tolist(), bounds, bounds[1:]):
+                    post_rows, post_counts = self._dense_postings[bucket]
+                    post_rows.frombytes(rows[start:stop].tobytes())
+                    post_counts.frombytes(counts[start:stop].tobytes())
+                self._grouped = hi
 
     def _posting(self, token_id: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows (ascending) and weights of the token's entries; each call scans only the entries added since the last."""
         rows, weights, scanned = self._postings.get(token_id, _NO_POSTING)
-        end = len(self._entry_weights)
+        end = self._sparse.offsets[-1]
         if scanned < end:
-            hits = np.flatnonzero(np.frombuffer(self._entry_tokens[scanned:end], dtype=np.intc) == token_id)
+            hits = np.flatnonzero(_np(self._sparse.keys[scanned:end]) == token_id) + scanned
             if len(hits):
-                hits = (hits + scanned).tolist()
-                rows = np.concatenate((rows, np.array([self._entry_rows[i] for i in hits], dtype=np.intc)))
-                weights = np.concatenate((weights, np.array([self._entry_weights[i] for i in hits])))
+                rows = np.concatenate((rows, self._sparse.rows_of(hits)))
+                weights = np.concatenate((weights, _np(self._sparse.values[hits[0]:hits[-1] + 1])[hits - hits[0]]))
             self._postings[token_id] = (rows, weights, end)  # a concurrent search may store a shorter prefix
         return rows, weights
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import json
 import re
 import sys
@@ -42,6 +44,7 @@ from adot.stores import vector as vector_module
 from adot.stores.store import Store, StoreFileError, load_store, save_store
 from adot.stores.vector import (
     STOPWORDS,
+    DenseEntries,
     EmptyIndexError,
     HashedBowEmbedder,
     VectorIndex,
@@ -776,18 +779,94 @@ def test_search_matches_frozen_scalar_loop_on_random_indexes(seed):
         _assert_matches_scalar_loop(index, oracle, rng, doc_ids)
 
 
-def test_search_matches_frozen_scalar_loop_across_a_block_boundary():
+def _assert_postings_hold_the_grouped_entries(index: VectorIndex) -> None:
+    """Each bucket's posting holds the token count of each grouped row with tokens in it, rows ascending."""
+    oracle = ScalarSearch(index.dim, index.alpha, STOPWORDS)
+    grouped = [c.text for r, c in enumerate(index.chunks) if index._dense.offsets[r + 1] <= index._grouped]
+    counts = [
+        Counter(int.from_bytes(hashlib.sha256(t.encode()).digest()[:4], "big") % index.dim for t in oracle.tokens(text))
+        for text in grouped
+    ]
+    for bucket, (rows, posted) in enumerate(index._dense_postings):
+        want = [(r, row_counts[bucket]) for r, row_counts in enumerate(counts) if row_counts[bucket]]
+        assert list(zip(rows, posted)) == want, bucket
+
+
+def test_search_matches_frozen_scalar_loop_across_groupings(monkeypatch):
+    monkeypatch.setattr(vector_module, "_GROUP_ENTRIES", 7)  # a grouping takes many steps
     rng = Random(7)
     index = VectorIndex()
     oracle = ScalarSearch(index.dim, index.alpha, STOPWORDS)
-    boundary = 3 * vector_module._BLOCK_ROWS  # row of the first chunk in the fourth block
-    for cid in range(boundary - 6):
+    for cid in range(200):
         index.add_text(cid, cid % 40, " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 9))))
-    for cid in range(boundary - 6, boundary + 8):
+    for cid in range(200, 230):  # each search groups only the entries added since the last
         index.add_text(cid, rng.randrange(45), " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(1, 9))))
         for _ in range(3):
             _assert_matches_scalar_loop(index, oracle, rng, 45)
-    assert len(index._blocks) == 4
+    index.search("engine payment", k=3)
+    assert index._grouped == len(index._dense.values)
+    _assert_postings_hold_the_grouped_entries(index)
+
+
+@pytest.mark.parametrize("dim", [8, 256])
+@pytest.mark.parametrize("seed", range(4))
+def test_postings_match_frozen_scalar_loop_with_adds_and_searches_interleaved(dim, seed):
+    rng = Random(100 + seed)
+    alpha = rng.choice([0.0, 0.3, 0.5, 1.0])
+    index = VectorIndex(dim=dim, alpha=alpha)
+    oracle = ScalarSearch(dim, alpha, STOPWORDS)
+    doc_ids = rng.randint(1, 10)
+    texts = ["", "the of and what"]  # empty and stopword-only texts have no entries
+    for cid in rng.sample(range(300), 100):
+        kind = rng.randrange(10)
+        if kind == 0:
+            text = rng.choice(texts)
+        elif kind == 1:
+            text = rng.choice(index.chunks).text if index.chunks else ""
+        else:
+            text = " ".join(rng.choice(_DIFF_WORDS + ["the", "of"]) for _ in range(rng.randint(1, 12)))
+        index.add_text(cid, rng.randrange(doc_ids), text)
+        for _ in range(rng.choice([0, 0, 1, 3])):
+            _assert_matches_scalar_loop(index, oracle, rng, doc_ids)
+    _assert_postings_hold_the_grouped_entries(index)
+
+
+def test_concurrent_first_searches_group_each_dense_entry_once(monkeypatch):
+    monkeypatch.setattr(vector_module, "_GROUP_ENTRIES", 3)
+    rng = Random(11)
+    index = VectorIndex()
+    for cid in range(300):
+        index.add_text(cid, cid % 7, " ".join(rng.choice(_DIFF_WORDS) for _ in range(rng.randint(0, 9))))
+    oracle = ScalarSearch(index.dim, index.alpha, STOPWORDS)
+    barrier = threading.Barrier(2)
+    results, errors = [None, None], []
+
+    def search(slot, query):
+        try:
+            barrier.wait()
+            results[slot] = index.search(query, k=5)
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    queries = ["engine payment invoice", "race venue violin club"]
+    threads = [threading.Thread(target=search, args=(i, q)) for i, q in enumerate(queries)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for query, hits in zip(queries, results):
+        assert _hit_tuples(hits) == _oracle_tuples(oracle.search(index.chunks, query, 5))
+    buckets = Counter(index._dense.keys)
+    for bucket, (rows, counts) in enumerate(index._dense_postings):
+        assert len(rows) == len(counts) == buckets[bucket]
+        assert len(set(rows)) == len(rows)
+    _assert_postings_hold_the_grouped_entries(index)
 
 
 def test_search_during_adds_sees_a_prefix_of_the_index():
@@ -839,14 +918,20 @@ def test_chunks_for_document_reads_the_document_map(queensland_store):
         ]
 
 
-def test_dense_vec_is_bow_embed_and_stored_once():
+def test_dense_vec_is_bow_embed_rebuilt_from_the_chunks_entries():
     index = VectorIndex()
     texts = ["net 30 days from receipt of invoice", "", "the of and", "race race venue"]
     for cid, text in enumerate(texts):
         chunk = index.add_text(cid, 0, text)
         assert chunk.dense_vec.tolist() == bow_embed(text, 256, STOPWORDS)
-        assert not chunk.dense_vec.flags.owndata and not chunk.dense_vec.flags.writeable
-    assert len({id(c.dense_vec.base) for c in index.chunks}) == 1  # one block holds every row
+        assert not chunk.dense_vec.flags.writeable
+        assert chunk.dense_vec is not chunk.dense_vec  # rebuilt on each read
+    # No chunk owns a dense vector: the index keeps one entry per nonzero bucket.
+    for chunk in index.chunks:
+        assert not any(isinstance(getattr(chunk, f.name), np.ndarray) for f in dataclasses.fields(chunk))
+        assert not any(isinstance(getattr(chunk.dense_entries, a), np.ndarray) for a in DenseEntries.__slots__)
+    nonzero = sum(np.count_nonzero(bow_embed(text, 256, STOPWORDS)) for text in texts)
+    assert len(index._dense.keys) == len(index._dense.values) == nonzero
 
 
 def test_indexed_sparse_vec_keeps_the_sparse_vector_map():
