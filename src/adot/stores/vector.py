@@ -10,25 +10,26 @@ Fused score: ``alpha * dense + (1 - alpha) * sparse``, where dense is the
 cosine of the two dense vectors.
 
 Scoring is exact, not approximate nearest neighbour. ``VectorIndex`` keeps
-both vectors of a chunk as entries of its row, in flat arrays with rows in
-order: a dense entry is (bucket, token count) for each nonzero bucket, a
-sparse entry (token id, weight) for each token. ``Chunk.dense_vec`` is a
-read-only vector rebuilt from the row's dense entries, bit for bit the
-embedder's, and ``Chunk.sparse_vec`` a read-only view of its sparse
-entries. ``add_text`` only extends the arrays; searches build the postings
-(ascending rows and their values). A search first appends the dense entries
-written since the last grouping to their buckets' postings, and the postings
-of a token take the sparse entries written since the token was last
-searched. A document_id -> row ids map turns ``doc_filter`` into a gather.
+both halves of a chunk alike, each in its half's ``_Entries``: (key, count)
+entries in flat arrays, rows in order, plus the row's norm. A dense key is
+a nonzero bucket, a sparse key a token id. ``Chunk.dense_vec`` (counts over
+norm) is bit for bit the embedder's vector and ``Chunk.sparse_vec`` (a
+read-only map) bit for bit ``sparse_vector``'s. ``add_text`` tokenizes the
+text once and only extends the arrays. A search first groups the entries
+written since the last grouping into per-key postings (ascending rows and
+their counts), the same way for both halves. So the first unfiltered
+search of a large index groups every entry once: about 0.25 s on a 2-vCPU
+host for the benchmark's ``vec_churn`` lake (8,816 chunks, 534k sparse
+entries). A document_id -> row ids map turns ``doc_filter`` into a gather.
 
-An unfiltered search takes both matrix scores as scatter-adds over postings:
-those of the query's nonzero buckets and those of its tokens. A filtered
-search reads the entries of its own rows. The matrix score differs from the
-scalar one by a few ulps, so the rows whose matrix score is within
-``RESCORE_MARGIN`` of the k-th best are rescored exactly with the scalar
-``cosine`` and ``sparse_dot`` and sorted by ``(-fused, chunk_id)``. Every
-hit and all three of its scores are therefore those of the scalar formula
-applied to every candidate, and ties go to the lower chunk_id.
+An unfiltered search takes each half's matrix score as one scatter-add over
+the postings of the query's keys; a filtered search reads its own rows'
+entries. The matrix score differs from the scalar one by a few ulps, so the
+rows whose matrix score is within ``RESCORE_MARGIN`` of the k-th best are
+rescored exactly with the scalar ``cosine`` and ``sparse_dot`` (summed over
+token ids in ``sparse_dot``'s order) and sorted by ``(-fused, chunk_id)``.
+Every hit and all three of its scores are therefore those of the scalar
+formula applied to every candidate, and ties go to the lower chunk_id.
 
 The design rests on one assumption: ``add_text`` is the only way into the
 index, and it computes both vectors with the index's own hashed embedder.
@@ -46,9 +47,11 @@ from __future__ import annotations
 import bisect
 import hashlib
 import heapq
+import math
 import re
 import threading
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -63,8 +66,8 @@ DEFAULT_ALPHA = 0.5
 # the scalar formula; the two differ by a few ulps, far below the margin.
 RESCORE_MARGIN = 1e-9
 
-# Dense entries grouped into postings per step, so the transient copies of
-# the first grouping of a large index stay under a megabyte.
+# Entries grouped into postings per step, so the transient copies of the
+# first grouping of a large index stay under a megabyte.
 _GROUP_ENTRIES = 1 << 14
 
 # Token -> bucket entries an embedder keeps before it starts over, so query
@@ -106,31 +109,41 @@ class HashedBowEmbedder:
             b = self._buckets[token] = int.from_bytes(digest[:4], "big") % self.dim
         return b
 
-    def counts(self, text: str) -> np.ndarray:
-        """How many of the text's tokens fall in each bucket."""
-        return np.bincount(np.array([self.bucket(t) for t in tokenize(text)], dtype=np.intp), minlength=self.dim)
+    def counts(self, tokens: list[str]) -> np.ndarray:
+        """How many of ``tokens`` fall in each bucket."""
+        return np.bincount(np.array([self.bucket(t) for t in tokens], dtype=np.intp), minlength=self.dim)
 
     def embed(self, text: str) -> np.ndarray:
-        vec = self.counts(text).astype(np.float64)
+        vec = self.counts(tokenize(text)).astype(np.float64)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
         return vec
 
 
+def _token_counts(tokens: list[str]) -> tuple[Counter, float]:
+    """Each token's count, in order of first occurrence, and the norm of the counts."""
+    counts = Counter(tokens)
+    return counts, sum(c * c for c in counts.values()) ** 0.5
+
+
 def sparse_vector(text: str) -> dict[str, float]:
-    counts: dict[str, float] = {}
-    for token in tokenize(text):
-        counts[token] = counts.get(token, 0.0) + 1.0
-    norm = sum(w * w for w in counts.values()) ** 0.5
-    if norm > 0:
-        counts = {t: w / norm for t, w in counts.items()}
-    return counts
+    counts, norm = _token_counts(tokenize(text))
+    return {t: c / norm for t, c in counts.items()}
+
+
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float vector, bit for bit: the root of the same dot product."""
+    return math.sqrt(np.dot(x, x))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    return _cosine(a, _norm(a), b)
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray) -> float:
+    """``cosine(a, b)``, given the norm of ``a``."""
+    nb = _norm(b)
     if na == 0 or nb == 0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -155,57 +168,119 @@ class _Vocabulary(dict):
         return len(self.tokens) - 1
 
 
+_DTYPES = {code: np.dtype(code) for code in "bBhHiIlLqQd"}
+
+
 def _np(entries: array) -> np.ndarray:
     """A numpy view of ``entries``; pass a fresh slice, so the index's own arrays never export a buffer."""
-    return np.frombuffer(entries, dtype=entries.typecode)
+    return np.frombuffer(entries, dtype=_DTYPES[entries.typecode])
 
 
 class _Entries:
-    """(key, value) entries of every row, rows in order; row r owns entries [offsets[r], offsets[r + 1]).
+    """One half of the index: every row's (key, count) entries and norm, rows in order, and their postings.
 
-    Rows are only appended, and a row's entries are written before its
-    offset, so a reader that stays below ``offsets[n]`` sees whole rows.
+    Row r owns entries [offsets[r], offsets[r + 1]). Rows are only appended,
+    and a row's entries and norm are written before its offset, so a reader
+    that stays below ``offsets[n]`` sees whole rows. ``postings`` maps a key
+    to the rows (ascending) and counts of its entries among the first
+    ``grouped``; ``_group`` extends them under a lock.
     """
 
-    __slots__ = ("keys", "values", "offsets")
+    __slots__ = ("keys", "values", "offsets", "norms", "postings", "grouped", "_lock")
 
-    def __init__(self, key_type: str, value_type: str):
+    def __init__(self, key_type: str):
         self.keys = array(key_type)
-        self.values = array(value_type)
+        self.values = array("I")  # counts
         self.offsets = array("i", [0])
+        self.norms = array("d")
+        self.postings: dict[int, tuple[array, array]] = {}
+        self.grouped = 0
+        self._lock = threading.Lock()
 
-    def append(self, keys: bytes, values: bytes) -> None:
+    def append(self, keys: bytes, counts: bytes, norm: float) -> None:
         self.keys.frombytes(keys)
-        self.values.frombytes(values)
+        self.values.frombytes(counts)
+        self.norms.append(norm)
         self.offsets.append(len(self.values))
 
     def row(self, r: int) -> tuple[array, array]:
-        """Copies of row r's keys and values."""
+        """Copies of row r's keys and counts."""
         start, stop = self.offsets[r], self.offsets[r + 1]
         return self.keys[start:stop], self.values[start:stop]
 
-    def gather(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Keys and values of the entries of ``rows``, and the index in ``rows`` of each entry's row."""
-        keys, values, sizes = array(self.keys.typecode), array(self.values.typecode), []
-        for r in rows:
-            start, stop = self.offsets[r], self.offsets[r + 1]
-            sizes.append(stop - start)
-            keys += self.keys[start:stop]
-            values += self.values[start:stop]
-        return _np(keys), _np(values), np.repeat(np.arange(len(rows)), sizes)
+    def scores(self, query: Mapping[int, float], rows: Sequence[int], n: int) -> np.ndarray:
+        """Of each of ``rows`` (ascending, below ``n``): the query's dot with its counts, over its norm.
 
-    def rows_of(self, positions: np.ndarray) -> np.ndarray:
-        """The row owning each of ``positions`` (ascending entry indices of whole rows)."""
-        first = bisect.bisect_right(self.offsets, positions[0]) - 1
-        offsets = _np(self.offsets[first:bisect.bisect_right(self.offsets, positions[-1])])
-        return (np.searchsorted(offsets, positions, side="right") - 1 + first).astype(np.intc)
+        ``query`` maps keys to weights. The entries come from the postings of
+        the query's keys when all n rows are scored, from the rows themselves
+        otherwise; the dots are one scatter-add either way.
+        """
+        if not query:
+            return np.zeros(len(rows))
+        q_keys = np.array(sorted(query))
+        q_weights = np.array([query[key] for key in q_keys.tolist()])
+        counts, sizes = array("I"), []
+        if len(rows) == n:  # then rows is range(n)
+            if self.grouped < self.offsets[n]:
+                self._group(n)
+            owners = array("i")
+            for key in q_keys.tolist():
+                posting = self.postings.get(key)
+                # Every entry of a row below n is grouped by now, and a posting's
+                # rows ascend, so its first ``count`` entries are this search's.
+                count = bisect.bisect_left(posting[0], n) if posting else 0
+                if count:
+                    owners += posting[0][:count]
+                    counts += posting[1][:count]
+                sizes.append(count)
+            owners, weights, norms = _np(owners), np.repeat(q_weights, sizes), _np(self.norms[:n])
+        else:
+            keys = array(self.keys.typecode)
+            for r in rows:
+                start, stop = self.offsets[r], self.offsets[r + 1]
+                keys += self.keys[start:stop]
+                counts += self.values[start:stop]
+                sizes.append(stop - start)
+            keys, owners = _np(keys), np.repeat(np.arange(len(rows)), sizes)
+            norms = np.array([self.norms[r] for r in rows])
+            at = np.minimum(np.searchsorted(q_keys, keys), len(q_keys) - 1)
+            weights = np.where(q_keys[at] == keys, q_weights[at], 0.0)
+        dots = np.bincount(owners, weights * _np(counts), len(rows))
+        # dots > 0 only where the row shares a key with the query, so its norm is > 0
+        return np.divide(dots, norms, out=np.zeros(len(rows)), where=dots > 0)
+
+    def _group(self, n: int) -> None:
+        """Append the entries of the rows below ``n`` that are not yet grouped to their keys' postings."""
+        with self._lock:  # a concurrent search may have grouped them meanwhile
+            end = self.offsets[n]
+            for lo in range(self.grouped, end, _GROUP_ENTRIES):
+                hi = min(lo + _GROUP_ENTRIES, end)
+                keys = _np(self.keys[lo:hi])
+                order = np.argsort(keys, kind="stable")  # keeps each key's rows ascending
+                keys = keys[order]
+                # entries lo to hi - 1 belong to rows first to last - 1, sizes[i] of them to row first + i
+                first, last = bisect.bisect_right(self.offsets, lo) - 1, bisect.bisect_left(self.offsets, hi)
+                sizes = np.diff(np.clip(_np(self.offsets[first:last + 1]), lo, hi))
+                rows, counts = array("i"), array("I")
+                rows.frombytes(np.repeat(np.arange(first, last, dtype=np.intc), sizes)[order].tobytes())
+                counts.frombytes(_np(self.values[lo:hi])[order].tobytes())
+                starts = np.flatnonzero(np.diff(keys, prepend=-1))
+                bounds = starts.tolist() + [hi - lo]
+                for key, start, stop in zip(keys[starts].tolist(), bounds, bounds[1:]):
+                    posting = self.postings.get(key)
+                    if posting is None:
+                        posting = self.postings[key] = (array("i"), array("I"))
+                    posting[0].extend(rows[start:stop])
+                    posting[1].extend(counts[start:stop])
+                self.grouped = hi
 
 
 class SparseVector(Mapping[str, float]):
     """Read-only token -> weight map of one indexed chunk, in the order it was built.
 
-    Its entries are its row's (token id, weight) entries in the index, so it
-    costs a few pointers. ``items`` and ``values`` return iterators.
+    Its entries are its row's (token id, count) entries in the index, so it
+    costs a few pointers; a weight is the count over the row's norm, bit for
+    bit ``sparse_vector``'s. ``items`` and ``values`` return iterators.
     """
 
     __slots__ = ("_vocab", "_entries", "_row")
@@ -223,33 +298,32 @@ class SparseVector(Mapping[str, float]):
 
     def __getitem__(self, token: str) -> float:
         token_id = self._vocab.get(token)
-        token_ids, weights = self._entries.row(self._row)
+        token_ids, counts = self._entries.row(self._row)
         if token_id is None or token_id not in token_ids:
             raise KeyError(token)
-        return weights[token_ids.index(token_id)]
+        return counts[token_ids.index(token_id)] / self._entries.norms[self._row]
 
     def items(self) -> Iterator[tuple[str, float]]:  # type: ignore[override]
-        token_ids, weights = self._entries.row(self._row)
-        return zip(map(self._vocab.tokens.__getitem__, token_ids), weights)
+        return zip(self, self.values())
 
     def values(self) -> Iterator[float]:  # type: ignore[override]
-        return iter(self._entries.row(self._row)[1])
+        norm = self._entries.norms[self._row]
+        return (c / norm for c in self._entries.row(self._row)[1])
 
 
 class DenseEntries:
     """One indexed chunk's dense vector, kept as its row's (bucket, token count) entries in the index."""
 
-    __slots__ = ("_dim", "_entries", "_norms", "_row")
+    __slots__ = ("_dim", "_entries", "_row")
 
-    def __init__(self, dim: int, entries: _Entries, norms: array, row: int):
+    def __init__(self, dim: int, entries: _Entries, row: int):
         self._dim = dim
         self._entries = entries
-        self._norms = norms
         self._row = row
 
     def vector(self) -> np.ndarray:
         """A new read-only vector, made as ``HashedBowEmbedder.embed`` makes it: the counts divided by their norm."""
-        norm = self._norms[self._row]
+        norm = self._entries.norms[self._row]
         if norm > 0:
             buckets, counts = self._entries.row(self._row)
             vec = np.bincount(_np(buckets), _np(counts), self._dim)
@@ -307,9 +381,6 @@ def _kth_largest(values: np.ndarray, k: int) -> float:
     return heapq.nlargest(k, values.tolist())[-1]
 
 
-_NO_POSTING = (np.empty(0, dtype=np.intc), np.empty(0), 0)
-
-
 class VectorIndex:
     """Exact-scoring hybrid index: scatter-adds over postings, exact rescoring at the boundary.
 
@@ -327,16 +398,9 @@ class VectorIndex:
         self.alpha = alpha
         self.embedder = HashedBowEmbedder(dim)
         self.chunks: list[Chunk] = []
-        self._dense = _Entries(np.min_scalar_type(dim - 1).char, "I")  # (bucket, token count) per nonzero bucket
-        self._norms = array("d")  # row -> norm of its bucket counts
         self._vocab = _Vocabulary()
-        self._sparse = _Entries("i", "d")  # (token id, weight) per token
-        # bucket -> (rows, counts) of the first ``_grouped`` dense entries
-        self._dense_postings = [(array("i"), array("I")) for _ in range(dim)]
-        self._grouped = 0
-        self._group_lock = threading.Lock()
-        # token id -> (rows, weights, entries scanned), built on the token's first search
-        self._postings: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._dense = _Entries(np.min_scalar_type(dim - 1).char)  # keyed by bucket
+        self._sparse = _Entries("i")  # keyed by token id
         self._doc_rows: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
@@ -344,22 +408,22 @@ class VectorIndex:
 
     def add_text(self, chunk_id: int, document_id: int, text: str, metadata: Mapping[str, object] | None = None) -> Chunk:
         """Embed ``text`` and index it as row ``len(chunks)``; everything that can fail runs before the first write."""
-        counts = self.embedder.counts(text)
-        sparse = sparse_vector(text)
+        tokens = tokenize(text)
+        counts = self.embedder.counts(tokens)
+        token_counts, sparse_norm = _token_counts(tokens)
         metadata = dict(metadata or {})
         row_id = len(self.chunks)
         buckets = np.flatnonzero(counts)
-        dense_bytes = (buckets.astype(self._dense.keys.typecode).tobytes(), counts[buckets].astype(np.uintc).tobytes())
-        norm = np.linalg.norm(counts.astype(np.float64))  # as embed computes it
-        sparse_bytes = (array("i", list(map(self._vocab.__getitem__, sparse))).tobytes(),
-                        array("d", list(sparse.values())).tobytes())
+        dense = (buckets.astype(self._dense.keys.typecode).tobytes(), counts[buckets].astype(np.uintc).tobytes(),
+                 np.linalg.norm(counts.astype(np.float64)))  # as embed computes it
+        sparse = (array("i", list(map(self._vocab.__getitem__, token_counts))).tobytes(),
+                  array("I", list(token_counts.values())).tobytes(), sparse_norm)
         doc_rows = self._doc_rows.setdefault(document_id, [])
         chunk = Chunk(chunk_id=chunk_id, document_id=document_id, text=text, metadata=metadata,
-                      dense_entries=DenseEntries(self.dim, self._dense, self._norms, row_id),
+                      dense_entries=DenseEntries(self.dim, self._dense, row_id),
                       sparse_vec=SparseVector(self._vocab, self._sparse, row_id))
-        self._dense.append(*dense_bytes)
-        self._norms.append(norm)
-        self._sparse.append(*sparse_bytes)
+        self._dense.append(*dense)
+        self._sparse.append(*sparse)
         doc_rows.append(row_id)
         self.chunks.append(chunk)
         return chunk
@@ -394,116 +458,51 @@ class VectorIndex:
 
         q_dense = self.embedder.embed(query_text)
         q_sparse = sparse_vector(query_text)
+        # token id -> query weight, in query order, for the query tokens that some row holds
+        q_tokens = {self._vocab[t]: w for t, w in q_sparse.items() if t in self._vocab}
         if len(rows) > k:
-            rows = self._boundary(q_dense, q_sparse, k, rows, n)
-        hits = [self._rescore(self.chunks[r], q_dense, q_sparse) for r in rows]
+            rows = self._boundary(q_dense, q_tokens, k, rows, n)
+        q_norm = _norm(q_dense)
+        hits = [self._rescore(r, q_dense, q_norm, q_tokens, len(q_sparse)) for r in rows]
         hits.sort(key=lambda h: (-h.fused_score, h.chunk.chunk_id))
         return hits[:k]
 
-    def _boundary(self, q_dense, q_sparse, k: int, rows: Sequence[int], n: int) -> list[int]:
+    def _boundary(self, q_dense: np.ndarray, q_tokens: Mapping[int, float], k: int, rows: Sequence[int], n: int) -> list[int]:
         """The candidate ``rows`` (ascending, below ``n``) that can be among the top k, ascending.
 
         These are the rows whose matrix score is within ``RESCORE_MARGIN`` of
         the k-th best. No weight is negative, so the rows scoring exactly 0 all
         tie at 0, and only the k of them with the lowest chunk_id are kept.
         """
-        q_tokens = {}  # token id -> query weight, for the query tokens that some row holds
-        for token, weight in q_sparse.items():
-            token_id = self._vocab.get(token)
-            if token_id is not None:
-                q_tokens[token_id] = weight
-        if len(rows) == n:  # then rows is range(n)
-            dots, sparse = self._posting_scores(q_dense, q_tokens, n)
-            norms = np.frombuffer(self._norms[:n])
-            rows = np.arange(n)
-        else:
-            dots, sparse = self._row_scores(q_dense, q_tokens, rows)
-            norms = np.array([self._norms[r] for r in rows])
-            rows = np.array(rows)
-        # dots > 0 only where the row shares a bucket with the query, so both norms are > 0
-        dense = np.divide(dots, norms * np.linalg.norm(q_dense), out=np.zeros(len(dots)), where=dots > 0)
+        # q_dense's norm is 1 up to rounding, so the dense score is the cosine up to rounding.
+        dense = self._dense.scores({b: q_dense[b] for b in np.flatnonzero(q_dense).tolist()}, rows, n)
+        sparse = self._sparse.scores(q_tokens, rows, n)
         fused = self.alpha * dense + (1.0 - self.alpha) * sparse
+        rows = np.arange(n) if len(rows) == n else np.array(rows)
         threshold = _kth_largest(fused, k) - RESCORE_MARGIN
         if threshold > 0:
             return rows[fused >= threshold].tolist()
         # Fewer than k rows score above the margin, so every row is near the
         # k-th best. The rows scoring exactly 0 tie at 0: only the k lowest
         # (chunk_id, row) of them can be among the top k.
-        nonzero = (dots + sparse).tolist()
+        nonzero = (dense + sparse).tolist()
         rows = rows.tolist()
         zeros = (r for r, s in zip(rows, nonzero) if not s)
         lowest = heapq.nsmallest(k, zeros, key=lambda r: (self.chunks[r].chunk_id, r))
         return sorted([r for r, s in zip(rows, nonzero) if s] + lowest)
 
-    def _posting_scores(self, q: np.ndarray, q_tokens: Mapping[int, float], n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Of each of the first ``n`` rows: ``q`` dotted with its bucket counts, and its sparse dot, from postings.
-
-        Only the postings of q's nonzero buckets and of the query's tokens are read.
-        """
-        if self._grouped < self._dense.offsets[n]:
-            self._group(n)
-        buckets = np.flatnonzero(q)
-        rows, counts, sizes = array("i"), array("I"), []
-        for bucket in buckets.tolist():
-            post_rows, post_counts = self._dense_postings[bucket]
-            # Every entry of a row below n is grouped by now, and a posting's
-            # rows ascend, so its first ``count`` entries are this search's.
-            count = bisect.bisect_left(post_rows, n)
-            rows += post_rows[:count]
-            counts += post_counts[:count]
-            sizes.append(count)
-        dots = np.bincount(_np(rows), np.repeat(q[buckets], sizes) * _np(counts), n)
-        sparse = np.zeros(n)
-        for token_id, weight in q_tokens.items():
-            post_rows, post_weights = self._posting(token_id)
-            count = bisect.bisect_left(post_rows, n)  # rows added since the search began are left out
-            sparse[post_rows[:count]] += weight * post_weights[:count]
-        return dots, sparse
-
-    def _row_scores(self, q: np.ndarray, q_tokens: Mapping[int, float], rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Of each of ``rows``: ``q`` dotted with its bucket counts, and its sparse dot, from the rows' own entries."""
-        buckets, counts, owners = self._dense.gather(rows)
-        dots = np.bincount(owners, q[buckets] * counts, len(rows))
-        token_ids, weights, owners = self._sparse.gather(rows)
-        query = np.zeros(len(token_ids))
-        for token_id, weight in q_tokens.items():
-            query[token_ids == token_id] = weight
-        return dots, np.bincount(owners, query * weights, len(rows))
-
-    def _group(self, n: int) -> None:
-        """Append the dense entries of the rows below ``n`` that are not yet grouped to their buckets' postings."""
-        with self._group_lock:  # a concurrent search may have grouped them meanwhile
-            end = self._dense.offsets[n]
-            for lo in range(self._grouped, end, _GROUP_ENTRIES):
-                hi = min(lo + _GROUP_ENTRIES, end)
-                buckets = _np(self._dense.keys[lo:hi])
-                order = np.argsort(buckets, kind="stable")  # keeps each bucket's rows ascending
-                buckets = buckets[order]
-                rows = self._dense.rows_of(np.arange(lo, hi))[order]
-                counts = _np(self._dense.values[lo:hi])[order]
-                starts = np.flatnonzero(np.diff(buckets, prepend=-1))
-                bounds = starts.tolist() + [hi - lo]
-                for bucket, start, stop in zip(buckets[starts].tolist(), bounds, bounds[1:]):
-                    post_rows, post_counts = self._dense_postings[bucket]
-                    post_rows.frombytes(rows[start:stop].tobytes())
-                    post_counts.frombytes(counts[start:stop].tobytes())
-                self._grouped = hi
-
-    def _posting(self, token_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (ascending) and weights of the token's entries; each call scans only the entries added since the last."""
-        rows, weights, scanned = self._postings.get(token_id, _NO_POSTING)
-        end = self._sparse.offsets[-1]
-        if scanned < end:
-            hits = np.flatnonzero(_np(self._sparse.keys[scanned:end]) == token_id) + scanned
-            if len(hits):
-                rows = np.concatenate((rows, self._sparse.rows_of(hits)))
-                weights = np.concatenate((weights, _np(self._sparse.values[hits[0]:hits[-1] + 1])[hits - hits[0]]))
-            self._postings[token_id] = (rows, weights, end)  # a concurrent search may store a shorter prefix
-        return rows, weights
-
-    def _rescore(self, chunk: Chunk, q_dense: np.ndarray, q_sparse: Mapping[str, float]) -> ChunkHit:
-        dense = cosine(q_dense, chunk.dense_vec)
-        # A dict of the chunk's weights, in their order, sums the same products in the same order.
-        sparse = sparse_dot(q_sparse, dict(chunk.sparse_vec.items()))
+    def _rescore(self, r: int, q_dense: np.ndarray, q_norm: float, q_tokens: Mapping[int, float], q_len: int) -> ChunkHit:
+        """Row r's hit with its scalar scores; ``q_len`` is the number of tokens of the query's sparse map."""
+        chunk = self.chunks[r]
+        dense = _cosine(q_dense, q_norm, chunk.dense_vec)
+        # sparse_dot's sum: over the smaller map (the query's on a tie), in its order
+        token_ids, counts = self._sparse.row(r)
+        norm = self._sparse.norms[r]
+        if len(token_ids) < q_len:
+            terms = (c / norm * q_tokens[t] for t, c in zip(token_ids, counts) if t in q_tokens)
+        else:
+            row = dict(zip(token_ids, counts))
+            terms = (w * (row[t] / norm) for t, w in q_tokens.items() if t in row)
+        sparse = float(sum(terms))
         fused = self.alpha * dense + (1.0 - self.alpha) * sparse
         return ChunkHit(chunk=chunk, dense_score=dense, sparse_score=sparse, fused_score=fused)

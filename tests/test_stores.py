@@ -608,6 +608,13 @@ def test_embed_deterministic_and_empty_zero():
     assert np.array_equal(embed("payment terms"), embed("payment terms"))
     assert np.linalg.norm(embed("")) == 0.0
     assert cosine(embed(""), embed("anything")) == 0.0
+    rng = np.random.default_rng(4)
+    zero = np.zeros(256)
+    for a, b in [(rng.standard_normal(256), rng.standard_normal(256)) for _ in range(50)] + [
+        (rng.random(256), rng.random(256)), (zero, rng.random(256)), (rng.random(256), zero), (zero, zero),
+        (embed("payment terms"), embed("net 30 days payment")),
+    ]:
+        assert cosine(a, b) == ScalarSearch.cosine(a, b)  # bit for bit
 
 
 def test_embed_matches_independent_bow_oracle():
@@ -780,16 +787,24 @@ def test_search_matches_frozen_scalar_loop_on_random_indexes(seed):
 
 
 def _assert_postings_hold_the_grouped_entries(index: VectorIndex) -> None:
-    """Each bucket's posting holds the token count of each grouped row with tokens in it, rows ascending."""
+    """Each bucket's and each token's posting holds the count of each grouped row with it, rows ascending."""
     oracle = ScalarSearch(index.dim, index.alpha, STOPWORDS)
-    grouped = [c.text for r, c in enumerate(index.chunks) if index._dense.offsets[r + 1] <= index._grouped]
-    counts = [
-        Counter(int.from_bytes(hashlib.sha256(t.encode()).digest()[:4], "big") % index.dim for t in oracle.tokens(text))
-        for text in grouped
-    ]
-    for bucket, (rows, posted) in enumerate(index._dense_postings):
-        want = [(r, row_counts[bucket]) for r, row_counts in enumerate(counts) if row_counts[bucket]]
-        assert list(zip(rows, posted)) == want, bucket
+    tokens = [oracle.tokens(c.text) for c in index.chunks]
+    token_ids: dict[str, int] = {}  # ids go to tokens in order of first occurrence
+    for row_tokens in tokens:
+        for t in row_tokens:
+            token_ids.setdefault(t, len(token_ids))
+
+    def bucket(token: str) -> int:
+        return int.from_bytes(hashlib.sha256(token.encode()).digest()[:4], "big") % index.dim
+
+    for half, key_of in ((index._dense, bucket), (index._sparse, token_ids.__getitem__)):
+        counts = [Counter(map(key_of, row_tokens)) for r, row_tokens in enumerate(tokens)
+                  if half.offsets[r + 1] <= half.grouped]
+        assert set(half.postings) == {key for row_counts in counts for key in row_counts}
+        for key, (rows, posted) in half.postings.items():
+            want = [(r, row_counts[key]) for r, row_counts in enumerate(counts) if row_counts[key]]
+            assert list(zip(rows, posted)) == want, key
 
 
 def test_search_matches_frozen_scalar_loop_across_groupings(monkeypatch):
@@ -804,7 +819,7 @@ def test_search_matches_frozen_scalar_loop_across_groupings(monkeypatch):
         for _ in range(3):
             _assert_matches_scalar_loop(index, oracle, rng, 45)
     index.search("engine payment", k=3)
-    assert index._grouped == len(index._dense.values)
+    assert index._dense.grouped == len(index._dense.values) and index._sparse.grouped == len(index._sparse.values)
     _assert_postings_hold_the_grouped_entries(index)
 
 
@@ -862,10 +877,12 @@ def test_concurrent_first_searches_group_each_dense_entry_once(monkeypatch):
     assert not any(t.is_alive() for t in threads) and not errors
     for query, hits in zip(queries, results):
         assert _hit_tuples(hits) == _oracle_tuples(oracle.search(index.chunks, query, 5))
-    buckets = Counter(index._dense.keys)
-    for bucket, (rows, counts) in enumerate(index._dense_postings):
-        assert len(rows) == len(counts) == buckets[bucket]
-        assert len(set(rows)) == len(rows)
+    for half in (index._dense, index._sparse):  # each entry, dense or sparse, grouped exactly once
+        keys = Counter(half.keys)
+        assert set(half.postings) == set(keys)
+        for key, (rows, counts) in half.postings.items():
+            assert len(rows) == len(counts) == keys[key]
+            assert len(set(rows)) == len(rows)
     _assert_postings_hold_the_grouped_entries(index)
 
 
